@@ -36,8 +36,11 @@ from .fraclap import check_alpha, frac_lap_multiplier
 from .grid import (
     Grid1D,
     GridFunction,
+    apply_multiplier,
+    derivative_multiplier,
     ensemble_process_norms,
     spectral_derivative,
+    time_indices,
 )
 from .kernel import CoefficientA, eval_A
 from .levy import FeynmanKacResult, RngStream, feynman_kac_estimate
@@ -229,20 +232,14 @@ class SolutionField:
     def pathwise(self) -> bool:
         return self.u.ndim == 3
 
-    def time_index(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} not among output times {self.times}")
-        return i
-
     def u_at(self, t: float) -> np.ndarray:
-        return self.u[..., self.time_index(t), :]
+        return self.u[..., time_indices(self.times, [t])[0], :]
 
     def v_at(self, t: float) -> np.ndarray:
         if self.v is None:
             shape = self.u.shape[:-2] + (self.grid.n,)
             return np.zeros(shape)
-        return self.v[..., self.time_index(t), :]
+        return self.v[..., time_indices(self.times, [t])[0], :]
 
 
 @dataclass
@@ -261,8 +258,7 @@ class MartingaleData:
     f: FieldFn | None
 
     def p_at(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        w = self.w_at_times[:, i][:, None]
+        w = self.w_at_times[:, time_indices(self.times, [t])[0]][:, None]
         out = np.zeros((self.w_at_times.shape[0], self.grid.n))
         for term in self.terms:
             c0 = term.functional.const
@@ -327,18 +323,6 @@ def _f_values(f: FieldFn | None, times: np.ndarray, n: int) -> np.ndarray:
     return np.stack([np.asarray(f(t), dtype=float) for t in times])
 
 
-def _resolve_output(times: np.ndarray, output_times: Sequence[float] | None) -> np.ndarray:
-    if output_times is None:
-        return np.arange(times.size)
-    idx = []
-    for t in output_times:
-        i = int(np.argmin(np.abs(times - t)))
-        if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"output time {t} not on the solver grid")
-        idx.append(i)
-    return np.asarray(sorted(set(idx)), dtype=int)
-
-
 # --- deterministic solvers ------------------------------------------------------
 
 
@@ -363,7 +347,7 @@ def solve_fourier_deterministic(
     fvals = _f_values(data.deterministic_f(), times, g.n)
     f_hat = np.fft.fft(fvals, axis=1)
 
-    out_idx = _resolve_output(times, output_times)
+    out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
     u = np.empty((out_idx.size, g.n))
     for row, i in enumerate(out_idx):
         m = n_steps - i
@@ -404,9 +388,9 @@ def solve_kernel_deterministic(
     def propagate(field_vals: np.ndarray, A: float) -> np.ndarray:
         if A == 0.0:
             return field_vals.copy()
-        return np.real(np.fft.ifft(np.exp(-A * lam) * np.fft.fft(field_vals)))
+        return apply_multiplier(field_vals, np.exp(-A * lam))
 
-    out_idx = _resolve_output(times, output_times)
+    out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
     u = np.empty((out_idx.size, g.n))
     for row, i in enumerate(out_idx):
         m = n_steps - i
@@ -449,8 +433,7 @@ def solve_pde_variable_coeff(
     times = np.linspace(0.0, data.T, n_steps + 1)
     dt = data.T / n_steps
     lam = frac_lap_multiplier(g, data.alpha)
-    xi = g.xi
-    xi_max = float(np.max(np.abs(xi)))
+    xi_max = float(np.max(np.abs(g.xi)))
 
     a_xt = data.a_xt or (lambda t: data.a(np.asarray([t]))[0] * np.ones(g.n))
     b_fn = data.b or (lambda t: np.zeros(g.n))
@@ -475,8 +458,7 @@ def solve_pde_variable_coeff(
             f"raise n_steps above {int(np.ceil(n_steps * max(frac_number, trans_number)))}"
         )
 
-    phase_mask = np.ones(g.n)
-    phase_mask[g.n // 2] = 0.0  # unpaired Nyquist mode carries no transport phase
+    d1 = derivative_multiplier(g, 1)  # the unpaired Nyquist mode carries no transport phase
 
     u_hat = np.fft.fft(data.deterministic_g()).astype(complex)
     store: dict[int, np.ndarray] = {n_steps: np.real(np.fft.ifft(u_hat))}
@@ -500,8 +482,8 @@ def solve_pde_variable_coeff(
         # coefficient is propagated to quadrature accuracy.
         A_half = dt / 12.0 * (a_bars[0] + 4.0 * a_bars[1] + a_bars[2])
         A_full = A_half + dt / 12.0 * (a_bars[2] + 4.0 * a_bars[3] + a_bars[4])
-        exp_half = -A_half * lam + 0.5 * cbar * dt + 0.5j * xi * bbar * dt * phase_mask
-        exp_full = -A_full * lam + cbar * dt + 1j * xi * bbar * dt * phase_mask
+        exp_half = -A_half * lam + 0.5 * cbar * dt + 0.5 * d1 * bbar * dt
+        exp_full = -A_full * lam + cbar * dt + d1 * bbar * dt
         mult = np.exp(exp_full)
         # in-step Simpson of the s -> t_i factor, for the explicit load
         w_load = dt / 6.0 * (1.0 + 4.0 * np.exp(exp_half) + mult)
@@ -520,7 +502,7 @@ def solve_pde_variable_coeff(
         u_hat = mult * u_hat + w_load * np.fft.fft(expl)
         store[i] = np.real(np.fft.ifft(u_hat))
 
-    out_idx = _resolve_output(times, output_times)
+    out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
     u = np.stack([store[i] for i in out_idx])
     return SolutionField(
         grid=g,
@@ -573,7 +555,7 @@ def solve_bspde_linear_gaussian(
     f_data = BSPDEData(
         grid=g, alpha=data.alpha, T=data.T, a=data.a, g=np.zeros(g.n), f=data.deterministic_f()
     )
-    out_idx = _resolve_output(times, output_times)
+    out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
     f_part = solve_fourier_deterministic(
         f_data, n_steps=n_steps, output_times=times[out_idx]
     ).u
@@ -589,7 +571,7 @@ def solve_bspde_linear_gaussian(
         u_row = np.broadcast_to(f_part[row], (n_paths, g.n)).copy()
         v_row = np.zeros(g.n)
         for term in data.g.terms:
-            prof_prop = np.real(np.fft.ifft(mult * np.fft.fft(term.profile)))
+            prof_prop = apply_multiplier(term.profile, mult)
             c0 = term.functional.const
             c1 = sum(cc for _, cc in term.functional.linear)
             u_row += (c0 + c1 * w_cum[:, i])[:, None] * prof_prop[None, :]
@@ -633,28 +615,26 @@ class RegressionSolution:
         return np.exp(1j * np.outer(xi, g.x - g.x_min)) / g.n
 
     def u_values(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        return np.real(self.u_hat[:, i, :] @ self._basis_matrix())
+        return np.real(self.u_hat[:, time_indices(self.times, [t])[0], :] @ self._basis_matrix())
 
     def v_values(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        return np.real(self.v_hat[:, i, :] @ self._basis_matrix())
+        return np.real(self.v_hat[:, time_indices(self.times, [t])[0], :] @ self._basis_matrix())
 
     def v_noise_floor(self, t: float) -> float:
         """RMS field amplitude explainable by pure regression noise."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        return float(np.sqrt(np.sum(self.v_se[i] ** 2)) / self.grid.n)
+        v_se = self.v_se[time_indices(self.times, [t])[0]]
+        return float(np.sqrt(np.sum(v_se**2)) / self.grid.n)
 
 
-def _spec_mode_mass(spec_or_array, grid: Grid1D, fft_of) -> np.ndarray:
+def _spec_mode_mass(spec_or_array, grid: Grid1D) -> np.ndarray:
     out = np.zeros(grid.n)
     if spec_or_array is None:
         return out
     if isinstance(spec_or_array, RandomFieldSpec):
         for term in spec_or_array.terms:
-            out = np.maximum(out, np.abs(fft_of(term.profile)))
+            out = np.maximum(out, np.abs(np.fft.fft(term.profile)))
     else:
-        out = np.maximum(out, np.abs(fft_of(np.asarray(spec_or_array, dtype=float))))
+        out = np.maximum(out, np.abs(np.fft.fft(np.asarray(spec_or_array, dtype=float))))
     return out
 
 
@@ -690,13 +670,8 @@ def solve_bspde_regression(
     dt = data.T / n_steps
     lam_full = frac_lap_multiplier(g, data.alpha)
 
-    def fft_of(vals):
-        return np.fft.fft(vals)
-
     if retained_modes is None:
-        mass = np.maximum(
-            _spec_mode_mass(data.g, g, fft_of), _spec_mode_mass_from_f(data.f, g, times, fft_of)
-        )
+        mass = np.maximum(_spec_mode_mass(data.g, g), _spec_mode_mass_from_f(data.f, g, times))
         keep = mass > mode_threshold * max(float(mass.max()), 1e-300)
         mode_indices = np.nonzero(keep)[0]
     else:
@@ -719,12 +694,7 @@ def solve_bspde_regression(
 
     def w_of_factory(max_step: int):
         def w_of(tau: float) -> np.ndarray:
-            s = int(round(tau / dt))
-            if abs(s * dt - tau) > 1e-9 * max(1.0, abs(tau)):
-                raise UnsupportedSpec(
-                    f"functional time {tau} is not on the solver grid (dt={dt})"
-                )
-            return w_cum[:, min(s, max_step)]
+            return w_cum[:, min(time_indices(times, [tau])[0], max_step)]
 
         return w_of
 
@@ -736,13 +706,13 @@ def solve_bspde_regression(
             out = np.zeros((n_paths, mode_indices.size), dtype=complex)
             w_of = w_of_factory(step)
             for term in spec.terms:
-                prof_hat = fft_of(term.profile)[mode_indices]
+                prof_hat = np.fft.fft(term.profile)[mode_indices]
                 coeff = term.functional.evaluate(w_of)
                 coeff = np.broadcast_to(np.asarray(coeff, dtype=float), (n_paths,))
                 out += coeff[:, None] * prof_hat[None, :]
             return out
         vals = np.asarray(spec(times[step]), dtype=float)
-        return np.broadcast_to(fft_of(vals)[mode_indices], (n_paths, mode_indices.size))
+        return np.broadcast_to(np.fft.fft(vals)[mode_indices], (n_paths, mode_indices.size))
 
     coarse_steps = np.unique(
         np.round(np.linspace(0, n_steps, min(n_coarse, n_steps) + 1)).astype(int)
@@ -752,17 +722,17 @@ def solve_bspde_regression(
     for spec in (data.f, data.g):
         if isinstance(spec, RandomFieldSpec):
             spec_times.update(spec.times())
-    extra = {int(round(tau / dt)) for tau in spec_times}
-    coarse_steps = np.unique(np.concatenate([coarse_steps, sorted(extra)]).astype(int))
+    extra = time_indices(times, sorted(spec_times))
+    coarse_steps = np.unique(np.concatenate([coarse_steps, extra]).astype(int))
 
     if isinstance(data.g, RandomFieldSpec):
         u_hat = field_hat_at(data.g, n_steps).copy()
     else:
         u_hat = np.broadcast_to(
-            fft_of(data.deterministic_g())[mode_indices], (n_paths, mode_indices.size)
+            np.fft.fft(data.deterministic_g())[mode_indices], (n_paths, mode_indices.size)
         ).astype(complex).copy()
 
-    out_idx = _resolve_output(times, output_times)
+    out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
     M = mode_indices.size
     u_store = np.empty((n_paths, out_idx.size, M), dtype=complex)
     v_store = np.zeros((n_paths, out_idx.size, M), dtype=complex)
@@ -813,14 +783,14 @@ def solve_bspde_regression(
     )
 
 
-def _spec_mode_mass_from_f(f, grid: Grid1D, times: np.ndarray, fft_of) -> np.ndarray:
+def _spec_mode_mass_from_f(f, grid: Grid1D, times: np.ndarray) -> np.ndarray:
     if f is None:
         return np.zeros(grid.n)
     if isinstance(f, RandomFieldSpec):
-        return _spec_mode_mass(f, grid, fft_of)
+        return _spec_mode_mass(f, grid)
     out = np.zeros(grid.n)
     for t in times[:: max(1, times.size // 8)]:
-        out = np.maximum(out, np.abs(fft_of(np.asarray(f(t), dtype=float))))
+        out = np.maximum(out, np.abs(np.fft.fft(np.asarray(f(t), dtype=float))))
     return out
 
 
@@ -847,8 +817,6 @@ def space_process_norm(
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 2:
         arr = arr[None, :, :]
-    deriv_mult = 1j * grid.xi
-    deriv_mult[grid.n // 2] = 0.0
     total = 0.0
     current = arr
     for k in range(m + 1):
@@ -857,8 +825,7 @@ def space_process_norm(
         )
         total += rep.sup_norm + rep.holder_seminorm
         if k < m:
-            spec = np.fft.fft(current, axis=2) * deriv_mult[None, None, :]
-            current = np.real(np.fft.ifft(spec, axis=2))
+            current = apply_multiplier(current, derivative_multiplier(grid, 1))
     return total
 
 
@@ -1018,10 +985,8 @@ def fbsde_crosscheck(
     results = []
     for idx, (t, x) in enumerate(probes):
         xi_idx = int(np.argmin(np.abs(g.x - x)))
-        ti = fine.time_index(t)
-        pde_val = float(fine.u[ti, xi_idx])
-        ci = coarse.time_index(t)
-        bound = abs(pde_val - float(coarse.u[ci, xi_idx])) + 1e-10
+        pde_val = float(fine.u_at(t)[xi_idx])
+        bound = abs(pde_val - float(coarse.u_at(t)[xi_idx])) + 1e-10
         mc = feynman_kac_estimate(
             g=g_fn,
             f=None if data.f is None else f_fn,

@@ -31,9 +31,9 @@ from .bspde import (
     solve_pde_variable_coeff,
 )
 from .checks import CheckResult, check_ids, run_checks
-from .errors import ConfigError, FracBspdeError
+from .errors import ConfigError, FracBspdeError, MalformedInput, OffGridTime
 from .fraclap import SingularIntegralConfig, apply_singular_integral, apply_spectral
-from .grid import Grid1D, read_field_csv, write_field_csv
+from .grid import Grid1D, read_field_csv, time_indices, write_field_csv
 from .kernel import (
     CoefficientA,
     KernelParams,
@@ -77,9 +77,10 @@ def _load_config(path: str | None, schema: dict, overrides: dict) -> dict:
         if key not in schema:
             raise ConfigError(f"unknown config key {key!r}", key)
         expected, _default = schema[key]
-        if expected is float and isinstance(value, int):
+        if expected is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
-        if expected is not None and not isinstance(value, expected):
+        # bool is an int subclass, and no key takes a bool
+        if isinstance(value, bool) or (expected is not None and not isinstance(value, expected)):
             raise ConfigError(
                 f"config key {key!r} expects {getattr(expected, '__name__', expected)}, "
                 f"got {type(value).__name__}",
@@ -92,12 +93,24 @@ def _load_config(path: str | None, schema: dict, overrides: dict) -> dict:
 
 
 def _grid_from_cfg(cfg: dict, pathwise: bool = False) -> Grid1D:
-    g = dict(GRID_DEFAULT_PATHWISE if pathwise else GRID_DEFAULT)
-    g.update(cfg.get("grid") or {})
-    extra = set(g) - {"x_min", "x_max", "n"}
-    if extra:
-        raise ConfigError(f"unknown grid key {sorted(extra)[0]!r}", f"grid.{sorted(extra)[0]}")
-    return Grid1D(float(g["x_min"]), float(g["x_max"]), int(g["n"]))
+    default = GRID_DEFAULT_PATHWISE if pathwise else GRID_DEFAULT
+    try:
+        g = _load_config(None, {k: (type(v), v) for k, v in default.items()}, cfg.get("grid") or {})
+    except ConfigError as exc:
+        raise ConfigError(str(exc), f"grid.{exc.key_path}") from exc
+    if g["n"] < 2 or g["n"] & (g["n"] - 1):
+        raise ConfigError(f"n must be a power of two >= 2, got {g['n']}", "grid.n")
+    if not (np.all(np.isfinite([g["x_min"], g["x_max"]])) and g["x_min"] < g["x_max"]):
+        raise ConfigError("need finite x_min < x_max", "grid.x_max")
+    return Grid1D(g["x_min"], g["x_max"], g["n"])
+
+
+def _step_time_indices(ts: list, T: float, steps: int, key: str) -> np.ndarray:
+    """Indices of the times ts on the step grid of [0, T]; a ConfigError naming key otherwise."""
+    try:
+        return time_indices(np.linspace(0.0, T, steps + 1), ts)
+    except (OffGridTime, TypeError, ValueError) as exc:
+        raise ConfigError(f"{exc}; times must be numbers on the {steps}-step grid", key) from exc
 
 
 def _dump_json(obj, path: str) -> None:
@@ -206,7 +219,10 @@ def cmd_fraclap(args) -> int:
         raise ConfigError(f"method must be spectral or integral, got {cfg['method']!r}", "method")
     if cfg["input"] is None:
         raise ConfigError("an input CSV is required", "input")
-    f = read_field_csv(cfg["input"])
+    try:
+        f = read_field_csv(cfg["input"])
+    except (OSError, MalformedInput) as exc:
+        raise ConfigError(str(exc), "input") from exc
     if cfg["method"] == "spectral":
         out = apply_spectral(f, cfg["alpha"])
     else:
@@ -335,6 +351,7 @@ def cmd_solve_pde(args) -> int:
     )
     data = _pde_data(cfg)
     out_times = cfg["output_times"] or list(np.linspace(0.0, cfg["T"], 5))
+    _step_time_indices(out_times, cfg["T"], cfg["steps"], "output_times")
     needs_var = any(cfg[k] is not None for k in ("a_x", "b", "c"))
     if needs_var:
         sol = solve_pde_variable_coeff(data, n_steps=cfg["steps"], output_times=out_times)
@@ -382,9 +399,7 @@ def cmd_solve_bspde(args) -> int:
             "seed": args.seed,
             "output": args.output,
             "report": args.report,
-            "probe": [list(map(float, p.split(","))) for p in args.probe]
-            if args.probe
-            else None,
+            "probe": args.probe,
         },
     )
     grid = _grid_from_cfg(cfg, pathwise=True)
@@ -403,11 +418,11 @@ def cmd_solve_bspde(args) -> int:
         sigma=cfg["sigma"],
     )
     probes = cfg["probe"] or [[0.0, 0.0]]
-    dt = cfg["T"] / cfg["steps"]
-    out_times = sorted(
-        {round(q * cfg["T"] / dt) * dt for q in (0.0, 0.25, 0.5, 0.75, 1.0)}
-        | {round(t / dt) * dt for t, _ in probes}
-    )
+    if not all(isinstance(p, list) and len(p) == 2 and type(p[1]) in (int, float) for p in probes):
+        raise ConfigError("each probe must be a [t, x] pair of numbers", "probe")
+    probe_idx = _step_time_indices([t for t, _ in probes], cfg["T"], cfg["steps"], "probe")
+    quarter_idx = [round(q * cfg["steps"]) for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    out_times = np.linspace(0.0, cfg["T"], cfg["steps"] + 1)[np.union1d(quarter_idx, probe_idx)]
     stream = RngStream(cfg["seed"])
     closed, _ = solve_bspde_linear_gaussian(
         data, n_paths=cfg["paths"], rng=stream, n_steps=cfg["steps"], output_times=out_times
@@ -438,6 +453,10 @@ def cmd_solve_bspde(args) -> int:
     if cfg["report"]:
         _dump_json({"config": cfg, "probes": probe_report}, cfg["report"])
     return 0
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
 
 
 # --- zakai ------------------------------------------------------------------------
@@ -545,6 +564,12 @@ def cmd_control(args) -> int:
             "output": args.output,
         },
     )
+    m = cfg["intervals"]
+    if m < 1:
+        raise ConfigError(f"intervals must be >= 1, got {m}", "intervals")
+    # the optimality check reads p, q at interval midpoints on this grid and on its halving
+    if cfg["steps"] < 1 or cfg["steps"] % (4 * m):
+        raise ConfigError(f"steps must be a positive multiple of 4 * intervals = {4 * m}", "steps")
     grid = _grid_from_cfg(cfg, pathwise=True)
     weight = np.minimum((grid.x - cfg["target"]) ** 2, cfg["cost_clip"])
     prob = ControlProblem(
@@ -741,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int)
     p.add_argument("--steps", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--probe", action="append", help="t,x probe (repeatable)")
+    p.add_argument("--probe", action="append", type=_floats, help="t,x probe (repeatable)")
     p.add_argument("--output")
     p.add_argument("--report")
     p.set_defaults(handler=cmd_solve_bspde)

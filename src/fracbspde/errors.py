@@ -29,6 +29,14 @@ class ResolutionError(FracBspdeError):
     """Quadrature configuration finer than the grid can support."""
 
 
+class OffGridTime(FracBspdeError):
+    """Requested time is not a node of the solver's time grid."""
+
+
+class MalformedInput(FracBspdeError):
+    """Input file whose layout or grid is not the documented one."""
+
+
 class OrderViolation(FracBspdeError):
     """Time arguments out of order (requires s < t)."""
 

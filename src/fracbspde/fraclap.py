@@ -15,13 +15,14 @@ magnitude is used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
 
 from .errors import OutOfRange, ResolutionError
-from .grid import Grid1D, GridFunction
+from .grid import Grid1D, GridFunction, apply_multiplier
 
 __all__ = [
     "check_alpha",
@@ -55,17 +56,18 @@ def c_alpha(alpha: float) -> float:
     return float(abs(val))
 
 
+@lru_cache(maxsize=32)
 def frac_lap_multiplier(grid: Grid1D, alpha: float) -> np.ndarray:
-    """|xi_k|^alpha in FFT ordering."""
-    return np.abs(grid.xi) ** alpha
+    """Read-only |xi_k|^alpha in FFT ordering."""
+    mult = np.abs(grid.xi) ** alpha
+    mult.flags.writeable = False
+    return mult
 
 
 def apply_spectral(f: GridFunction, alpha: float) -> GridFunction:
     """Fractional Laplacian as the Fourier multiplier |xi|^alpha."""
     check_alpha(alpha)
-    g = f.grid
-    vals = np.real(np.fft.ifft(frac_lap_multiplier(g, alpha) * np.fft.fft(f.values)))
-    return GridFunction(g, vals)
+    return GridFunction(f.grid, apply_multiplier(f.values, frac_lap_multiplier(f.grid, alpha)))
 
 
 @dataclass(frozen=True)

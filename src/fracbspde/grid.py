@@ -7,6 +7,16 @@ The continuum transform convention used throughout is
 
 so discrete coefficients carry a dx weighting and approximate the continuum
 Fourier integral of the field on the truncated domain.
+
+Fourier multipliers are arrays in FFT ordering (that of `Grid1D.xi`: modes
+k = 0..n/2-1, then -n/2..-1, xi_k = 2 pi k / L), applied by
+`apply_multiplier`, the one forward -> multiply -> inverse round trip.  The
+raw FFT expands in exp(+i xi_k x), so d/dx is the multiplier +i xi_k; for odd
+derivative orders the unpaired Nyquist mode -n/2 is zeroed, keeping
+derivatives of real fields real and the first derivative exactly skew.  The
+2/3 dealiasing rule (|k| <= n/3 kept) applies only to the flux k p of the
+Zakai filter's transport step.  `time_indices` maps times to the nodes of a
+time grid and raises `OffGridTime` rather than snapping to the nearest node.
 """
 
 from __future__ import annotations
@@ -14,8 +24,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,6 +33,8 @@ from .errors import (
     EmptyEnsemble,
     GridMismatch,
     InvalidExponent,
+    MalformedInput,
+    OffGridTime,
     SymmetryViolation,
 )
 
@@ -33,7 +45,10 @@ __all__ = [
     "NormReport",
     "dft",
     "idft",
+    "apply_multiplier",
+    "derivative_multiplier",
     "spectral_derivative",
+    "time_indices",
     "holder_seminorm",
     "sobolev_norm",
     "l2_norm",
@@ -187,23 +202,46 @@ def idft(c: SpectralCoeffs, imag_tol: float = 1e-10) -> GridFunction:
     return GridFunction(g, vals.real)
 
 
-def spectral_derivative(f: GridFunction, order: int = 1) -> GridFunction:
-    """k-th spatial derivative via the Fourier multiplier (-i xi)^k.
+def apply_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Real part of the Fourier multiplier mult applied along the last axis.
 
-    The unpaired Nyquist mode is zeroed for odd orders so the result is real
-    and the derivative matrix is exactly skew-symmetric on the grid.
+    mult is in FFT ordering and broadcasts against the transformed values.
     """
+    return np.real(np.fft.ifft(mult * np.fft.fft(values, axis=-1), axis=-1))
+
+
+@lru_cache(maxsize=32)
+def derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
+    """Read-only multiplier (i xi)^order of the order-th derivative, Nyquist rule applied."""
+    mult = (1j * grid.xi) ** order
+    if order % 2 == 1:
+        mult[grid.n // 2] = 0.0
+    mult.flags.writeable = False
+    return mult
+
+
+def spectral_derivative(f: GridFunction, order: int = 1) -> GridFunction:
+    """k-th spatial derivative via the Fourier multiplier (i xi)^k."""
     if order < 0:
         raise InvalidExponent(f"derivative order must be >= 0, got {order}")
     if order == 0:
         return f
-    g = f.grid
-    # raw fft expands in exp(+i xi_k x), so d/dx multiplies by +i xi_k
-    mult = (1j * g.xi) ** order
-    if order % 2 == 1:
-        mult[g.n // 2] = 0.0
-    vals = np.real(np.fft.ifft(mult * np.fft.fft(f.values)))
-    return GridFunction(g, vals)
+    return GridFunction(f.grid, apply_multiplier(f.values, derivative_multiplier(f.grid, order)))
+
+
+def time_indices(times: np.ndarray, ts: Sequence[float]) -> np.ndarray:
+    """Sorted distinct indices of the nodes of the time grid times at ts.
+
+    A time t matches a node within 1e-9 max(1, |t|); any other time raises
+    OffGridTime instead of snapping to the nearest node.
+    """
+    times = np.asarray(times, dtype=float)
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    idx = np.argmin(np.abs(times[:, None] - ts[None, :]), axis=0)
+    off = ts[~(np.abs(times[idx] - ts) <= 1e-9 * np.maximum(1.0, np.abs(ts)))]
+    if off.size:
+        raise OffGridTime(f"time {off[0]} is not a node of the time grid {times[0]}..{times[-1]}")
+    return np.unique(idx)
 
 
 def l2_norm(f: GridFunction) -> float:
@@ -329,19 +367,28 @@ def write_field_csv(f: GridFunction, path: str, header_path: str | None = None) 
 
 
 def read_field_csv(path: str, grid: Grid1D | None = None) -> GridFunction:
-    """Read a (x, value) CSV; infers the grid from the x column if not given."""
-    xs: list[float] = []
-    vs: list[float] = []
+    """Read a (x, value) CSV; infers the grid from the x column if not given.
+
+    Raises MalformedInput unless the header is x,value, every row holds two
+    finite numbers, and the x column is the node set of a uniform grid with a
+    power-of-two number of rows (the given grid, if any).
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        head = next(reader)
-        if head[:2] != ["x", "value"]:
-            raise ValueError(f"unexpected CSV header {head!r}")
-        for row in reader:
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
+        rows = list(csv.reader(fh))
+    if not rows or rows[0][:2] != ["x", "value"]:
+        raise MalformedInput(f"{path}: expected the header x,value, got {rows[:1]!r}")
+    try:
+        data = np.array([[float(r[0]), float(r[1])] for r in rows[1:]]).reshape(-1, 2)
+    except (ValueError, IndexError) as exc:
+        raise MalformedInput(f"{path}: every row must hold two numbers ({exc})") from exc
+    if not np.all(np.isfinite(data)):
+        raise MalformedInput(f"{path}: non-finite entries")
+    xs, vs = data[:, 0], data[:, 1]
     if grid is None:
-        n = len(xs)
-        dx = xs[1] - xs[0]
-        grid = Grid1D(xs[0], xs[0] + n * dx, n)
-    return GridFunction(grid, np.asarray(vs))
+        n = xs.size
+        if n < 2 or n & (n - 1) or not xs[1] > xs[0]:
+            raise MalformedInput(f"{path}: need a power of two >= 2 rows of increasing x")
+        grid = Grid1D(xs[0], xs[0] + n * (xs[1] - xs[0]), n)
+    if xs.size != grid.n or not np.max(np.abs(xs - grid.x)) <= 1e-9 * grid.length:
+        raise MalformedInput(f"{path}: x column is not the uniform grid {grid}")
+    return GridFunction(grid, vs)

@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .fraclap import check_alpha
-from .grid import Grid1D, GridFunction
+from .grid import Grid1D, GridFunction, apply_multiplier
 
 __all__ = [
     "CoefficientA",
@@ -269,8 +269,7 @@ def apply_semigroup_A(phi: GridFunction, A: float, alpha: float) -> GridFunction
     """Convolution with G_A computed spectrally."""
     check_alpha(alpha)
     mult = semigroup_multiplier(phi.grid, A, alpha)
-    vals = np.real(np.fft.ifft(mult * np.fft.fft(phi.values)))
-    return GridFunction(phi.grid, vals)
+    return GridFunction(phi.grid, apply_multiplier(phi.values, mult))
 
 
 def semigroup_apply(

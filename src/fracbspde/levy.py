@@ -21,8 +21,7 @@ from .fraclap import c_alpha, check_alpha
 __all__ = [
     "RngStream",
     "PathGrid",
-    "LevyPath",
-    "BrownianPath",
+    "SamplePath",
     "sample_stable",
     "sample_stable_poisson_series",
     "simulate_levy_path",
@@ -76,23 +75,15 @@ class PathGrid:
 
 
 @dataclass(frozen=True)
-class LevyPath:
+class SamplePath:
+    """One simulated stable or Brownian path, stored by its increments."""
+
     grid: PathGrid
     increments: np.ndarray
 
     @property
     def values(self) -> np.ndarray:
-        """M at grid times, M_{t0} = 0."""
-        return np.concatenate([[0.0], np.cumsum(self.increments)])
-
-
-@dataclass(frozen=True)
-class BrownianPath:
-    grid: PathGrid
-    increments: np.ndarray
-
-    @property
-    def values(self) -> np.ndarray:
+        """Path at grid times, starting from 0 at t0."""
         return np.concatenate([[0.0], np.cumsum(self.increments)])
 
 
@@ -144,14 +135,14 @@ def sample_stable_poisson_series(
     return out + rng.normal(0.0, np.sqrt(small_var), size)
 
 
-def simulate_levy_path(alpha: float, grid: PathGrid, rng: RngStream) -> LevyPath:
+def simulate_levy_path(alpha: float, grid: PathGrid, rng: RngStream) -> SamplePath:
     inc = sample_stable(alpha, grid.dt, rng.generator(), grid.N)
-    return LevyPath(grid, inc)
+    return SamplePath(grid, inc)
 
 
-def simulate_brownian_path(grid: PathGrid, rng: RngStream) -> BrownianPath:
+def simulate_brownian_path(grid: PathGrid, rng: RngStream) -> SamplePath:
     inc = rng.generator().normal(0.0, np.sqrt(grid.dt), grid.N)
-    return BrownianPath(grid, inc)
+    return SamplePath(grid, inc)
 
 
 def simulate_brownian_increments(

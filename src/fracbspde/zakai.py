@@ -39,7 +39,7 @@ from .errors import (
     StabilityError,
 )
 from .fraclap import check_alpha, frac_lap_multiplier
-from .grid import Grid1D
+from .grid import Grid1D, apply_multiplier, derivative_multiplier, time_indices
 from .kernel import CoefficientA, eval_A
 from .regression import design_matrix, project_expectation
 
@@ -145,8 +145,7 @@ class ZakaiState:
     meta: dict = field(default_factory=dict)
 
     def p_at(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        return self.p[:, i, :]
+        return self.p[:, time_indices(self.times, [t])[0], :]
 
     def mass(self) -> np.ndarray:
         """Total mass per (path, time)."""
@@ -163,41 +162,24 @@ class AdjointState:
     meta: dict = field(default_factory=dict)
 
     def q_at(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        return self.q[:, i, :]
+        return self.q[:, time_indices(self.times, [t])[0], :]
 
     def l_at(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        return self.l[:, i, :]
+        return self.l[:, time_indices(self.times, [t])[0], :]
 
 
 # --- operators -----------------------------------------------------------------
-
-
-def _fraclap(vals: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    return np.real(np.fft.ifft(lam * np.fft.fft(vals, axis=-1), axis=-1))
-
-
-def _deriv(vals: np.ndarray, grid: Grid1D) -> np.ndarray:
-    mult = 1j * grid.xi
-    mult[grid.n // 2] = 0.0
-    return np.real(np.fft.ifft(mult * np.fft.fft(vals, axis=-1), axis=-1))
-
-
-def _dealias_mask(grid: Grid1D) -> np.ndarray:
-    k = np.fft.fftfreq(grid.n) * grid.n
-    return (np.abs(k) <= grid.n // 3).astype(float)
 
 
 def apply_L(
     phi: np.ndarray, t: float, v: float, problem: ControlProblem
 ) -> np.ndarray:
     """L phi = -a(t) (-Delta)^(alpha/2) phi - D(k(t,.,v) phi)."""
-    g = problem.grid
-    lam = frac_lap_multiplier(g, problem.alpha)
+    d1 = derivative_multiplier(problem.grid, 1)
+    lam = frac_lap_multiplier(problem.grid, problem.alpha)
     a_t = float(problem.a(np.asarray([t]))[0])
     k_t = np.asarray(problem.k(t, v), dtype=float)
-    return -a_t * _fraclap(phi, lam) - _deriv(k_t * phi, g)
+    return -a_t * apply_multiplier(phi, lam) - apply_multiplier(k_t * phi, d1)
 
 
 def apply_L_star(
@@ -213,14 +195,14 @@ def apply_L_star(
     instead, for side-by-side comparison; that form is not the discrete
     adjoint and violates the duality identity whenever Dk is not constant.
     """
-    g = problem.grid
-    lam = frac_lap_multiplier(g, problem.alpha)
+    d1 = derivative_multiplier(problem.grid, 1)
+    lam = frac_lap_multiplier(problem.grid, problem.alpha)
     a_t = float(problem.a(np.asarray([t]))[0])
     k_t = np.asarray(problem.k(t, v), dtype=float)
-    frac = -a_t * _fraclap(phi, lam)
+    frac = -a_t * apply_multiplier(phi, lam)
     if printed_variant:
-        return frac + _deriv(k_t, g) * phi
-    return frac + k_t * _deriv(phi, g)
+        return frac + apply_multiplier(k_t, d1) * phi
+    return frac + k_t * apply_multiplier(phi, d1)
 
 
 def duality_defect(
@@ -246,7 +228,8 @@ def _zakai_stepper(
     """Generator yielding (step index, t, p) after each full step, p shape (P, n)."""
     g = problem.grid
     lam = frac_lap_multiplier(g, problem.alpha)
-    mask = _dealias_mask(g)
+    # D of the flux k p, 2/3-dealiased
+    flux_mult = derivative_multiplier(g, 1) * (np.abs(np.fft.fftfreq(g.n) * g.n) <= g.n // 3)
     dt = problem.T / n_steps
     times = np.linspace(0.0, problem.T, n_steps + 1)
     n_paths = y_inc.shape[0]
@@ -256,24 +239,18 @@ def _zakai_stepper(
     p = np.broadcast_to(problem.p0, (n_paths, g.n)).copy()
     guard_level = guard * (float(np.abs(problem.p0).max()) + 1.0)
 
-    def flux_derivative(k_field: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        spec = np.fft.fft(k_field * vals, axis=-1) * mask
-        mult = 1j * g.xi
-        mult[g.n // 2] = 0.0
-        return np.real(np.fft.ifft(mult * spec, axis=-1))
-
     yield -1, 0.0, p
     for i in range(n_steps):
         t = times[i]
         # (1) exact spectral fractional-diffusion factor over the step
         dA = eval_A(problem.a, times[i], times[i + 1], n_sub=8)
-        p = np.real(np.fft.ifft(np.exp(-dA * lam) * np.fft.fft(p, axis=-1), axis=-1))
+        p = apply_multiplier(p, np.exp(-dA * lam))
         # (2) conservative transport, Heun stage pair on -D(k p)
         v = policy.value_at(t)
         k_field = np.asarray(problem.k(t, v), dtype=float)
-        f1 = -flux_derivative(k_field, p)
+        f1 = -apply_multiplier(k_field * p, flux_mult)
         p_stage = p + dt * f1
-        f2 = -flux_derivative(k_field, p_stage)
+        f2 = -apply_multiplier(k_field * p_stage, flux_mult)
         p = p + 0.5 * dt * (f1 + f2)
         # (3) exact multiplicative observation update
         h_field = np.asarray(problem.h(t), dtype=float)
@@ -313,12 +290,7 @@ def solve_zakai(
     """Filter densities along observation paths; y_inc has shape (paths, n_steps)."""
     _check_transport_cfl(problem, policy, n_steps)
     times = np.linspace(0.0, problem.T, n_steps + 1)
-    if output_times is None:
-        out_idx = np.arange(n_steps + 1)
-    else:
-        out_idx = np.asarray(
-            sorted({int(np.argmin(np.abs(times - t))) for t in output_times}), dtype=int
-        )
+    out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
     n_paths = y_inc.shape[0]
     p_out = np.empty((n_paths, out_idx.size, problem.grid.n))
     pos = {int(i): r for r, i in enumerate(out_idx)}
@@ -412,12 +384,7 @@ def solve_adjoint(
         np.round(np.linspace(0, n_steps, min(n_coarse, n_steps) + 1)).astype(int)
     )[1:]
 
-    if output_times is None:
-        out_idx = np.arange(n_steps + 1)
-    else:
-        out_idx = np.asarray(
-            sorted({int(np.argmin(np.abs(times - t))) for t in output_times}), dtype=int
-        )
+    out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
     pos = {int(i): r for r, i in enumerate(out_idx)}
 
     q = np.broadcast_to(problem.g, (n_paths, g.n)).copy()
@@ -464,12 +431,11 @@ def hamiltonian(
     problem: ControlProblem,
 ) -> np.ndarray | float:
     """H(t, v, p, q) = <f(t,.,v), p> - <D(k(t,.,v) p), q>; vectorized over paths."""
-    g = problem.grid
-    dx = g.dx
+    dx = problem.grid.dx
     f_field = np.asarray(problem.f(t, v), dtype=float)
     k_field = np.asarray(problem.k(t, v), dtype=float)
     cost_part = (p @ f_field) * dx
-    transport = _deriv(k_field * p, g)
+    transport = apply_multiplier(k_field * p, derivative_multiplier(problem.grid, 1))
     pairing = np.sum(transport * q, axis=-1) * dx
     out = cost_part - pairing
     return float(out) if np.ndim(out) == 0 else out

@@ -15,7 +15,7 @@ from fracbspde.bspde import (
     space_process_norm,
     verify_holder_estimate,
 )
-from fracbspde.errors import IllConditioned, StabilityError, UnsupportedSpec
+from fracbspde.errors import IllConditioned, OffGridTime, StabilityError, UnsupportedSpec
 from fracbspde.grid import Grid1D
 from fracbspde.kernel import CoefficientA, eval_A
 from fracbspde.levy import RngStream
@@ -262,6 +262,18 @@ def test_regression_collapses_to_deterministic():
     for t in (0.0, 0.5):
         got = sol.u_values(t)
         assert np.max(np.abs(got - det.u_at(t)[None, :])) < 1e-6
+
+
+def test_off_grid_times_raise():
+    data = make_data(g=np.sin(XI1 * GRID.x))
+    with pytest.raises(OffGridTime):
+        solve_fourier_deterministic(data, n_steps=16, output_times=[0.3])
+    sol = solve_bspde_regression(
+        data, n_paths=16, rng=RngStream(5), n_steps=16, output_times=[0.0, 0.5]
+    )
+    for t in (0.25, 0.3):  # a step-grid time that was not output, and an off-grid one
+        with pytest.raises(OffGridTime):
+            sol.u_values(t)
 
 
 def test_regression_matches_linear_gaussian_closed_form():

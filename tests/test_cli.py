@@ -238,3 +238,62 @@ def test_run_verification_payload_schema():
     assert "seconds" not in payload
     with pytest.raises(Exception):
         run_verification(tier="bogus")
+
+
+def _config_error(capsys, argv) -> str:
+    """Run argv, require exit code 2, and return the key path the error names."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.split("config error at ")[1].split(":")[0]
+
+
+def test_control_rejects_steps_off_the_check_grid(tmp_path, capsys):
+    base = ["control", "--paths", "8", "--output", str(tmp_path / "c.json")]
+    # interval midpoints of 4 intervals at 24 steps are off the halved probe grid
+    assert _config_error(capsys, base + ["--intervals", "4"]) == "steps"
+    assert _config_error(capsys, base + ["--steps", "25", "--intervals", "1"]) == "steps"
+    assert _config_error(capsys, base + ["--intervals", "0"]) == "intervals"
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_solve_pde_off_grid_output_times_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "pde.json"
+    cfg.write_text(json.dumps({"grid": {"n": 64}, "steps": 16, "output_times": [0.0, 0.3]}))
+    argv = ["solve-pde", "--config", str(cfg), "--output", str(tmp_path / "s.csv")]
+    assert _config_error(capsys, argv) == "output_times"
+
+
+def test_solve_bspde_off_grid_probe_exit_2(tmp_path, capsys):
+    argv = ["solve-bspde", "--paths", "50", "--output", str(tmp_path / "b.csv")]
+    # 0.3 lies between the nodes 0.296875 and 0.3125 of the default 64-step grid
+    assert _config_error(capsys, argv + ["--probe", "0.3,0"]) == "probe"
+    assert main(argv + ["--probe", "0.3"]) == 2  # not a t,x pair
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"grid": {"n": 100}}, "grid.n"),
+        ({"grid": {"n": True}}, "grid.n"),
+        ({"grid": {"x_min": 1.0, "x_max": 1.0}}, "grid.x_max"),
+        ({"grid": {"x_min": "a"}}, "grid.x_min"),
+        ({"steps": True}, "steps"),
+        ({"T": False}, "T"),
+    ],
+)
+def test_config_type_and_grid_errors_exit_2(tmp_path, capsys, cfg, key):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["zakai", "--config", str(path), "--output", str(tmp_path / "z.csv")]
+    assert _config_error(capsys, argv) == key
+
+
+def test_fraclap_rejects_uneven_csv(tmp_path, capsys):
+    src = tmp_path / "f.csv"
+    src.write_text("x,value\n0,1\n1,2\n3,3\n4,4\n")
+    out = tmp_path / "out.csv"
+    argv = ["fraclap", "--input", str(src), "--output", str(out)]
+    assert _config_error(capsys, argv) == "input"
+    assert _config_error(capsys, argv[:2] + [str(tmp_path / "missing.csv")] + argv[3:]) == "input"
+    assert not out.exists()

@@ -7,12 +7,17 @@ from fracbspde.errors import (
     EmptyEnsemble,
     GridMismatch,
     InvalidExponent,
+    MalformedInput,
+    OffGridTime,
     SymmetryViolation,
 )
+from fracbspde.fraclap import frac_lap_multiplier
 from fracbspde.grid import (
     Grid1D,
     GridFunction,
     SpectralCoeffs,
+    apply_multiplier,
+    derivative_multiplier,
     dft,
     ensemble_process_norms,
     grid_header,
@@ -22,6 +27,7 @@ from fracbspde.grid import (
     read_field_csv,
     sobolev_norm,
     spectral_derivative,
+    time_indices,
     write_field_csv,
 )
 
@@ -131,6 +137,66 @@ def test_spectral_derivative_on_sine(grid):
     f = GridFunction.from_callable(grid, lambda x: np.sin(xi2 * x))
     df = spectral_derivative(f)
     assert np.allclose(df.values, xi2 * np.cos(xi2 * grid.x), atol=1e-10)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(256,), (5, 256), (3, 4, 256)])
+def test_apply_multiplier_matches_inline_round_trip(grid, shape):
+    vals = np.random.default_rng(41).standard_normal(shape)
+    lam = np.abs(grid.xi) ** 1.5
+    inline = np.real(np.fft.ifft(lam * np.fft.fft(vals, axis=-1), axis=-1))
+    assert _same_bits(apply_multiplier(vals, frac_lap_multiplier(grid, 1.5)), inline)
+    deriv = 1j * grid.xi
+    deriv[grid.n // 2] = 0.0
+    inline = np.real(np.fft.ifft(deriv * np.fft.fft(vals, axis=-1), axis=-1))
+    assert _same_bits(apply_multiplier(vals, derivative_multiplier(grid, 1)), inline)
+
+
+def test_apply_multiplier_matches_dealiased_flux_form(grid):
+    rng = np.random.default_rng(43)
+    k_field, vals = rng.standard_normal(grid.n), rng.standard_normal((6, grid.n))
+    k = np.fft.fftfreq(grid.n) * grid.n
+    mask = (np.abs(k) <= grid.n // 3).astype(float)
+    deriv = 1j * grid.xi
+    deriv[grid.n // 2] = 0.0
+    inline = np.real(np.fft.ifft(deriv * (np.fft.fft(k_field * vals, axis=-1) * mask), axis=-1))
+    flux = apply_multiplier(k_field * vals, derivative_multiplier(grid, 1) * mask)
+    assert _same_bits(flux, inline)
+
+
+def test_derivative_multiplier_nyquist_rule(grid):
+    nyq = grid.n // 2
+    assert derivative_multiplier(grid, 1)[nyq] == 0.0
+    assert derivative_multiplier(grid, 3)[nyq] == 0.0
+    assert derivative_multiplier(grid, 2)[nyq] == -grid.xi[nyq] ** 2
+
+
+def test_cached_multipliers_are_read_only(grid):
+    for mult in (derivative_multiplier(grid, 1), frac_lap_multiplier(grid, 1.5)):
+        with pytest.raises(ValueError):
+            mult[0] = 1.0
+    assert derivative_multiplier(grid, 1) is derivative_multiplier(grid, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    T=st.floats(1e-3, 1e3),
+    steps=st.integers(1, 512),
+    picks=st.lists(st.integers(0, 512), min_size=1, max_size=8),
+    frac=st.floats(0.01, 0.99),
+)
+def test_time_indices_on_and_off_grid(T, steps, picks, frac):
+    times = np.linspace(0.0, T, steps + 1)
+    picks = [i % (steps + 1) for i in picks]
+    assert time_indices(times, times[picks]).tolist() == sorted(set(picks))
+    # the same times recomputed as i T / steps still land on their nodes
+    assert time_indices(times, [i * T / steps for i in picks]).tolist() == sorted(set(picks))
+    off = (picks[0] % steps + frac) * T / steps
+    with pytest.raises(OffGridTime):
+        time_indices(times, [times[picks[0]], off])
 
 
 def test_holder_seminorm_constant_is_zero(grid):
@@ -304,3 +370,22 @@ def test_csv_round_trip(tmp_path):
     assert np.allclose(back.values, f.values, atol=0)
     hdr = grid_header(g)
     assert hdr["n"] == 32 and hdr["dx"] == pytest.approx(0.125)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x,value\n0,1\n1,2\n3,3\n4,4\n",  # uneven spacing
+        "x,value\n0,1\n1,2\n2,3\n",  # row count not a power of two
+        "x,val\n0,1\n1,2\n",  # bad header
+        "",  # no header
+        "x,value\n0,1\n1\n",  # short row
+        "x,value\n0,1\n1,nan\n",  # non-finite value
+        "x,value\n1,1\n0,2\n",  # decreasing x
+    ],
+)
+def test_read_field_csv_rejects_malformed_input(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(MalformedInput):
+        read_field_csv(str(path))

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fracbspde.bspde import BSPDEData, solve_pde_variable_coeff
-from fracbspde.errors import BlowUp, BudgetExceeded, PositivityViolation
+from fracbspde.errors import BlowUp, BudgetExceeded, OffGridTime, PositivityViolation
 from fracbspde.grid import Grid1D
 from fracbspde.kernel import CoefficientA, apply_semigroup_A
-from fracbspde.grid import GridFunction
+from fracbspde.grid import GridFunction, spectral_derivative, time_indices
 from fracbspde.levy import PathGrid, RngStream, sample_stable, simulate_brownian_increments
 from fracbspde.zakai import (
     ControlPolicy,
@@ -244,8 +244,7 @@ def test_adjoint_matches_pde_solver_when_unobserved():
         assert np.max(np.abs(diff)) < 1e-5
         # l is pure regression noise here: stay below 3x its own error bar
         l_rms = float(np.sqrt(np.mean(adj.l_at(t) ** 2)))
-        i = int(np.argmin(np.abs(adj.times - t)))
-        assert l_rms <= 3.0 * adj.l_se[i] + 1e-12
+        assert l_rms <= 3.0 * adj.l_se[time_indices(adj.times, [t])[0]] + 1e-12
 
 
 def test_hamiltonian_identities():
@@ -269,11 +268,26 @@ def test_hamiltonian_integration_by_parts():
     p = gaussian_density(GRID)
     q = smooth_field(GRID, 7)
     k_field = np.sin(XI1 * GRID.x)
-    from fracbspde.zakai import _deriv
 
-    lhs = np.sum(_deriv(k_field * p, GRID) * q) * GRID.dx
-    rhs = -np.sum(k_field * p * _deriv(q, GRID)) * GRID.dx
+    def deriv(vals):
+        return spectral_derivative(GridFunction(GRID, vals)).values
+
+    lhs = np.sum(deriv(k_field * p) * q) * GRID.dx
+    rhs = -np.sum(k_field * p * deriv(q)) * GRID.dx
     assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
+
+
+def test_off_grid_output_times_raise():
+    prob = make_problem()
+    policy = ControlPolicy.constant(0.0, prob.T)
+    y_inc = np.zeros((4, 16))
+    state = solve_zakai(prob, policy, y_inc, n_steps=16, output_times=[0.0, 0.25])
+    with pytest.raises(OffGridTime):
+        state.p_at(0.125)  # on the step grid, not among the output times
+    # 0.26 lies between the nodes 0.25 and 0.28125 of the 16-step grid on [0, 0.5]
+    for solve in (solve_zakai, solve_adjoint):
+        with pytest.raises(OffGridTime):
+            solve(prob, policy, y_inc, n_steps=16, output_times=[0.25, 0.26])
 
 
 def test_brute_force_separable_cost_prefers_zero():
