@@ -100,14 +100,6 @@ class PathFunctional:
             return np.asarray(self.const)
         return out + self.const
 
-    @property
-    def degree(self) -> int:
-        if self.quadratic:
-            return 2
-        if self.linear:
-            return 1
-        return 0
-
     @classmethod
     def constant(cls, c: float) -> "PathFunctional":
         return cls(const=c)
@@ -138,15 +130,12 @@ class RandomFieldSpec:
             ts.update(term.functional.times())
         return tuple(sorted(ts))
 
-    def max_degree(self) -> int:
-        return max((t.functional.degree for t in self.terms), default=0)
-
-    def is_affine_in_terminal(self, T: float, tol: float = 1e-12) -> bool:
+    def is_affine_in_terminal(self, T: float) -> bool:
         for term in self.terms:
             fn = term.functional
             if fn.quadratic:
                 return False
-            if any(abs(tau - T) > tol for tau, _ in fn.linear):
+            if any(abs(tau - T) > 1e-12 for tau, _ in fn.linear):
                 return False
         return True
 
@@ -418,7 +407,6 @@ def solve_pde_variable_coeff(
     data: BSPDEData,
     n_steps: int = 256,
     output_times: Sequence[float] | None = None,
-    stability_guard: float = 1.0,
 ) -> SolutionField:
     """Backward method of lines for space-time (a, b, c) and deterministic data.
 
@@ -450,11 +438,11 @@ def solve_pde_variable_coeff(
         worst_trans = max(worst_trans, float(np.max(np.abs(bv - bv.mean()))))
     frac_number = worst_frac * xi_max**data.alpha * dt
     trans_number = worst_trans * xi_max * dt
-    if frac_number > stability_guard or trans_number > stability_guard:
+    if frac_number > 1.0 or trans_number > 1.0:
         raise StabilityError(
             "explicit residual violates the step restriction: "
             f"|a - a_bar| xi_max^alpha dt = {frac_number:.3g}, "
-            f"|b - b_bar| xi_max dt = {trans_number:.3g} (limit {stability_guard}); "
+            f"|b - b_bar| xi_max dt = {trans_number:.3g} (limit 1.0); "
             f"raise n_steps above {int(np.ceil(n_steps * max(frac_number, trans_number)))}"
         )
 
@@ -488,7 +476,7 @@ def solve_pde_variable_coeff(
         # in-step Simpson of the s -> t_i factor, for the explicit load
         w_load = dt / 6.0 * (1.0 + 4.0 * np.exp(exp_half) + mult)
 
-        u_field = np.real(np.fft.ifft(u_hat))
+        u_field = store[i + 1]
         u_gf = GridFunction(g, u_field)
         frac_u = np.real(np.fft.ifft(lam * u_hat))
         du = spectral_derivative(u_gf).values
@@ -643,11 +631,7 @@ def solve_bspde_regression(
     n_paths: int,
     rng: RngStream,
     n_steps: int = 128,
-    basis_degree: int = 2,
-    n_coarse: int = 8,
     output_times: Sequence[float] | None = None,
-    retained_modes: Sequence[int] | None = None,
-    mode_threshold: float = 1e-12,
     cond_threshold: float = 1e8,
 ) -> RegressionSolution:
     """Backward-Euler regression scheme for the per-mode linear BSDE.
@@ -658,24 +642,16 @@ def solve_bspde_regression(
         u_hat(t_i) ~ E[u_hat(t_{i+1}) + dt(-a|xi|^alpha u_hat(t_{i+1})
                         + f_hat + sigma v_hat(t_i)) | F_i],
     with conditional expectations realized as least-squares projections onto
-    polynomials of the Brownian path at coarse times.
+    polynomials (degree <= 2, the degree of every PathFunctional) of the
+    Brownian path at coarse times.
     """
     g = data.grid
-    if isinstance(data.f, RandomFieldSpec) and data.f.max_degree() > basis_degree:
-        raise UnsupportedSpec("source functionals exceed the regression basis degree")
-    if isinstance(data.g, RandomFieldSpec) and data.g.max_degree() > basis_degree:
-        raise UnsupportedSpec("terminal functionals exceed the regression basis degree")
-
     times = np.linspace(0.0, data.T, n_steps + 1)
     dt = data.T / n_steps
     lam_full = frac_lap_multiplier(g, data.alpha)
 
-    if retained_modes is None:
-        mass = np.maximum(_spec_mode_mass(data.g, g), _spec_mode_mass_from_f(data.f, g, times))
-        keep = mass > mode_threshold * max(float(mass.max()), 1e-300)
-        mode_indices = np.nonzero(keep)[0]
-    else:
-        mode_indices = np.asarray(sorted({g.mode_index(k) for k in retained_modes}), dtype=int)
+    mass = np.maximum(_spec_mode_mass(data.g, g), _spec_mode_mass_from_f(data.f, g, times))
+    mode_indices = np.nonzero(mass > 1e-12 * max(float(mass.max()), 1e-300))[0]
     if mode_indices.size == 0:
         mode_indices = np.array([0])
 
@@ -715,7 +691,7 @@ def solve_bspde_regression(
         return np.broadcast_to(np.fft.fft(vals)[mode_indices], (n_paths, mode_indices.size))
 
     coarse_steps = np.unique(
-        np.round(np.linspace(0, n_steps, min(n_coarse, n_steps) + 1)).astype(int)
+        np.round(np.linspace(0, n_steps, min(8, n_steps) + 1)).astype(int)
     )[1:]
     # times referenced by the data functionals must be conditioning variables
     spec_times: set[float] = set()
@@ -746,7 +722,7 @@ def solve_bspde_regression(
     last_v = np.zeros((n_paths, M), dtype=complex)
     last_v_se = np.zeros(M)
     for i in range(n_steps - 1, -1, -1):
-        design = design_matrix(w_cum, i, coarse_steps, basis_degree)
+        design = design_matrix(w_cum, i, coarse_steps)
         targets_v = u_hat * (w_inc[:, i][:, None] / dt)
         v_fit, v_se, cond1 = project_expectation(design, targets_v, cond_threshold)
         a_i = float(data.a(np.asarray([times[i + 1]]))[0])
@@ -776,7 +752,7 @@ def solve_bspde_regression(
             "solver": "regression",
             "n_steps": n_steps,
             "n_paths": n_paths,
-            "basis_degree": basis_degree,
+            "basis_degree": 2,
             "max_design_cond": max_cond,
             "coarse_steps": coarse_steps.tolist(),
         },
@@ -803,7 +779,6 @@ def space_process_norm(
     dt: float,
     order: float,
     kind: str,
-    exact_limit: int = 512,
 ) -> float:
     """Norm ||phi||_{order, X}: sup and Holder parts of D^k phi for k <= m.
 
@@ -820,9 +795,7 @@ def space_process_norm(
     total = 0.0
     current = arr
     for k in range(m + 1):
-        rep = ensemble_process_norms(
-            current, grid, dt=dt, beta=frac, kind=kind, exact_limit=exact_limit
-        )
+        rep = ensemble_process_norms(current, grid, dt=dt, beta=frac, kind=kind)
         total += rep.sup_norm + rep.holder_seminorm
         if k < m:
             current = apply_multiplier(current, derivative_multiplier(grid, 1))

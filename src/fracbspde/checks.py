@@ -228,8 +228,8 @@ def check_kernel_bound_stability(seed: int) -> CheckResult:
 # --- 6: stable process vs kernel law ----------------------------------------------------
 
 
-def check_stable_kernel_duality(seed: int, n_paths: int = 100_000) -> CheckResult:
-    alpha, T = 1.5, 1.0
+def check_stable_kernel_duality(seed: int) -> CheckResult:
+    alpha, T, n_paths = 1.5, 1.0, 100_000
     grid_t = PathGrid(0.0, T, 8)
     X = simulate_forward_sde(None, 1.0, alpha, 0.0, grid_t, RngStream(seed, 600), n_paths)
     stat = float(kstest(X[:, -1], kernel_cdf(alpha, A=T)).statistic)
@@ -279,7 +279,8 @@ def check_solver_equivalence(seed: int) -> CheckResult:
 # --- 8: Feynman-Kac consistency -----------------------------------------------------------
 
 
-def check_feynman_kac(seed: int, n_paths: int = 100_000) -> CheckResult:
+def check_feynman_kac(seed: int) -> CheckResult:
+    n_paths = 100_000
     grid = Grid1D(-16.0 * np.pi, 16.0 * np.pi, 2048)
     data = BSPDEData(
         grid=grid,
@@ -325,7 +326,8 @@ def check_feynman_kac(seed: int, n_paths: int = 100_000) -> CheckResult:
 # --- 9: regression BSPDE vs closed form ------------------------------------------------------
 
 
-def check_regression_bspde(seed: int, n_reps: int = 8, paths_per_rep: int = 1250) -> CheckResult:
+def check_regression_bspde(seed: int) -> CheckResult:
+    n_reps, paths_per_rep = 8, 1250
     grid = Grid1D(-32.0, 32.0, 256)
     xi1 = 2 * np.pi / grid.length
     prof = np.sin(xi1 * grid.x)
@@ -397,14 +399,14 @@ def check_regression_bspde(seed: int, n_reps: int = 8, paths_per_rep: int = 1250
 # --- 10: Holder-estimate boundedness -----------------------------------------------------------
 
 
-def _holder_instances(seed: int, n_det: int = 35, n_rand: int = 15):
+def _holder_instances(seed: int):
     rng = np.random.default_rng(seed + 17)
     specs = []
-    for i in range(n_det):
+    for i in range(35):
         coefs = rng.normal(size=(2, 6)) / (1.0 + np.arange(6))
         omega = float(rng.uniform(0.3, 2.0))
         specs.append(("det", coefs, omega))
-    for i in range(n_rand):
+    for i in range(15):
         coefs = rng.normal(size=(2, 4)) / (1.0 + np.arange(4))
         c0, c1 = float(rng.normal()), float(rng.uniform(0.5, 1.5))
         specs.append(("rand", coefs, (c0, c1)))
@@ -594,7 +596,8 @@ def check_adjoint_duality(seed: int) -> CheckResult:
 # --- 13: maximum principle -----------------------------------------------------------------------
 
 
-def check_maximum_principle(seed: int, n_paths: int = 10_000) -> CheckResult:
+def check_maximum_principle(seed: int) -> CheckResult:
+    n_paths = 10_000
     grid = Grid1D(-32.0, 32.0, 128)
     p0 = np.exp(-grid.x**2 / 2)
     p0 = p0 / (p0.sum() * grid.dx)

@@ -55,18 +55,25 @@ from .zakai import (
 GRID_DEFAULT = {"x_min": -32.0, "x_max": 32.0, "n": 2048}
 # pathwise solvers materialize (paths, times, n) arrays; default them coarser
 GRID_DEFAULT_PATHWISE = {"x_min": -32.0, "x_max": 32.0, "n": 256}
+# least value of each count key, in every schema that has it; 8 is the floor
+# of SingularIntegralConfig
+COUNT_MINIMUM = {"samples": 1, "quadrature_points": 8, "paths": 1, "steps": 1, "intervals": 1}
 
 
 def _load_config(path: str | None, schema: dict, overrides: dict) -> dict:
     """Merge config-file values and CLI overrides against a schema.
 
-    schema maps key -> (type, default); unknown keys are rejected with
-    their path; None overrides are ignored.
+    schema maps key -> (type, default); unknown keys, wrong types and counts
+    below COUNT_MINIMUM are rejected with their path; None overrides are
+    ignored.
     """
     raw = {}
     if path is not None:
-        with open(path) as fh:
-            raw = json.load(fh)
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read a JSON config: {exc}", "config") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object", "")
     for key, value in overrides.items():
@@ -86,10 +93,17 @@ def _load_config(path: str | None, schema: dict, overrides: dict) -> dict:
                 f"got {type(value).__name__}",
                 key,
             )
+        if key in COUNT_MINIMUM and value < COUNT_MINIMUM[key]:
+            raise ConfigError(f"{key} must be >= {COUNT_MINIMUM[key]}, got {value}", key)
         resolved[key] = value
     for key, (_t, default) in schema.items():
         resolved.setdefault(key, default)
     return resolved
+
+
+def _flags(args: argparse.Namespace, schema: dict) -> dict:
+    """The command-line value of every schema key (None where no flag was given)."""
+    return {key: getattr(args, key, None) for key in schema}
 
 
 def _grid_from_cfg(cfg: dict, pathwise: bool = False) -> Grid1D:
@@ -140,19 +154,7 @@ KERNEL_SCHEMA = {
 }
 
 
-def cmd_kernel(args) -> int:
-    cfg = _load_config(
-        args.config,
-        KERNEL_SCHEMA,
-        {
-            "alpha": args.alpha,
-            "A": args.A,
-            "x_range": args.x_range,
-            "samples": args.samples,
-            "output": args.output,
-            "report": args.report,
-        },
-    )
+def cmd_kernel(cfg: dict) -> int:
     params = KernelParams(cfg["alpha"], cfg["A"])
     xs = np.linspace(-cfg["x_range"], cfg["x_range"], cfg["samples"])
     rows = zip(
@@ -202,19 +204,7 @@ FRACLAP_SCHEMA = {
 }
 
 
-def cmd_fraclap(args) -> int:
-    cfg = _load_config(
-        args.config,
-        FRACLAP_SCHEMA,
-        {
-            "alpha": args.alpha,
-            "method": args.method,
-            "input": args.input,
-            "output": args.output,
-            "quadrature_points": args.quad_points,
-            "inner_cutoff": args.inner_cutoff,
-        },
-    )
+def cmd_fraclap(cfg: dict) -> int:
     if cfg["method"] not in ("spectral", "integral"):
         raise ConfigError(f"method must be spectral or integral, got {cfg['method']!r}", "method")
     if cfg["input"] is None:
@@ -252,20 +242,7 @@ LEVY_SCHEMA = {
 }
 
 
-def cmd_levy(args) -> int:
-    cfg = _load_config(
-        args.config,
-        LEVY_SCHEMA,
-        {
-            "alpha": args.alpha,
-            "paths": args.paths,
-            "steps": args.steps,
-            "seed": args.seed,
-            "horizon": args.horizon,
-            "output": args.output,
-            "summary": args.summary,
-        },
-    )
+def cmd_levy(cfg: dict) -> int:
     grid_t = PathGrid(0.0, cfg["horizon"], cfg["steps"])
     gen = RngStream(cfg["seed"]).generator()
     inc = sample_stable(cfg["alpha"], grid_t.dt, gen, (cfg["paths"], cfg["steps"]))
@@ -343,12 +320,7 @@ def _pde_data(cfg: dict) -> BSPDEData:
     )
 
 
-def cmd_solve_pde(args) -> int:
-    cfg = _load_config(
-        args.config,
-        PDE_SCHEMA,
-        {"steps": args.steps, "output": args.output, "report": args.report},
-    )
+def cmd_solve_pde(cfg: dict) -> int:
     data = _pde_data(cfg)
     out_times = cfg["output_times"] or list(np.linspace(0.0, cfg["T"], 5))
     _step_time_indices(out_times, cfg["T"], cfg["steps"], "output_times")
@@ -389,19 +361,7 @@ BSPDE_SCHEMA = {
 }
 
 
-def cmd_solve_bspde(args) -> int:
-    cfg = _load_config(
-        args.config,
-        BSPDE_SCHEMA,
-        {
-            "paths": args.paths,
-            "steps": args.steps,
-            "seed": args.seed,
-            "output": args.output,
-            "report": args.report,
-            "probe": args.probe,
-        },
-    )
+def cmd_solve_bspde(cfg: dict) -> int:
     grid = _grid_from_cfg(cfg, pathwise=True)
     prof = parse_field(cfg["g_profile"], grid, "g_profile")
     spec = RandomFieldSpec(
@@ -482,17 +442,7 @@ def _unit_gaussian_density(grid: Grid1D, width: float) -> np.ndarray:
     return p / (p.sum() * grid.dx)
 
 
-def cmd_zakai(args) -> int:
-    cfg = _load_config(
-        args.config,
-        ZAKAI_SCHEMA,
-        {
-            "steps": args.steps,
-            "seed": args.seed,
-            "output": args.output,
-            "report": args.report,
-        },
-    )
+def cmd_zakai(cfg: dict) -> int:
     grid = _grid_from_cfg(cfg, pathwise=True)
     zeros = np.zeros(grid.n)
     k_arr = parse_field(cfg["k"], grid, "k") if cfg["k"] else zeros
@@ -552,23 +502,10 @@ CONTROL_SCHEMA = {
 }
 
 
-def cmd_control(args) -> int:
-    cfg = _load_config(
-        args.config,
-        CONTROL_SCHEMA,
-        {
-            "paths": args.paths,
-            "steps": args.steps,
-            "seed": args.seed,
-            "intervals": args.intervals,
-            "output": args.output,
-        },
-    )
+def cmd_control(cfg: dict) -> int:
     m = cfg["intervals"]
-    if m < 1:
-        raise ConfigError(f"intervals must be >= 1, got {m}", "intervals")
     # the optimality check reads p, q at interval midpoints on this grid and on its halving
-    if cfg["steps"] < 1 or cfg["steps"] % (4 * m):
+    if cfg["steps"] % (4 * m):
         raise ConfigError(f"steps must be a positive multiple of 4 * intervals = {4 * m}", "steps")
     grid = _grid_from_cfg(cfg, pathwise=True)
     weight = np.minimum((grid.x - cfg["target"]) ** 2, cfg["cost_clip"])
@@ -684,18 +621,7 @@ def run_verification(
     return payload, timings
 
 
-def cmd_verify_all(args) -> int:
-    cfg = _load_config(
-        args.config,
-        VERIFY_SCHEMA,
-        {
-            "tier": args.tier,
-            "seed": args.seed,
-            "checks": args.checks.split(",") if args.checks else None,
-            "report": args.report,
-            "timing": args.timing,
-        },
-    )
+def cmd_verify_all(cfg: dict) -> int:
     payload, timings = run_verification(cfg["tier"], cfg["seed"], cfg["checks"])
     _dump_json(payload, cfg["report"])
     _dump_json({"seconds": timings}, cfg["timing"])
@@ -723,28 +649,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("kernel", help="tabulate the fractional heat kernel")
-    p.add_argument("--config")
+    def command(name, handler, schema, help):
+        # every option dest other than config is a key of schema (see _flags)
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config")
+        p.set_defaults(handler=handler, schema=schema)
+        return p
+
+    p = command("kernel", cmd_kernel, KERNEL_SCHEMA, "tabulate the fractional heat kernel")
     p.add_argument("--alpha", type=float)
     p.add_argument("--A", type=float)
     p.add_argument("--xrange", dest="x_range", type=float)
     p.add_argument("--samples", type=int)
     p.add_argument("--output")
     p.add_argument("--report", help="JSON bound report (tail mass + empirical decay constants)")
-    p.set_defaults(handler=cmd_kernel)
 
-    p = sub.add_parser("fraclap", help="apply the fractional Laplacian to a CSV field")
-    p.add_argument("--config")
+    p = command(
+        "fraclap", cmd_fraclap, FRACLAP_SCHEMA, "apply the fractional Laplacian to a CSV field"
+    )
     p.add_argument("--alpha", type=float)
     p.add_argument("--method", choices=["spectral", "integral"])
     p.add_argument("--input")
     p.add_argument("--output")
-    p.add_argument("--quad-points", dest="quad_points", type=int)
+    p.add_argument("--quad-points", dest="quadrature_points", type=int)
     p.add_argument("--inner-cutoff", dest="inner_cutoff", type=float)
-    p.set_defaults(handler=cmd_fraclap)
 
-    p = sub.add_parser("levy", help="simulate alpha-stable paths")
-    p.add_argument("--config")
+    p = command("levy", cmd_levy, LEVY_SCHEMA, "simulate alpha-stable paths")
     p.add_argument("--alpha", type=float)
     p.add_argument("--paths", type=int)
     p.add_argument("--steps", type=int)
@@ -752,50 +682,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float)
     p.add_argument("--output")
     p.add_argument("--summary")
-    p.set_defaults(handler=cmd_levy)
 
-    p = sub.add_parser("solve-pde", help="solve the deterministic backward equation")
-    p.add_argument("--config")
+    p = command("solve-pde", cmd_solve_pde, PDE_SCHEMA, "solve the deterministic backward equation")
     p.add_argument("--steps", type=int)
     p.add_argument("--output")
     p.add_argument("--report")
-    p.set_defaults(handler=cmd_solve_pde)
 
-    p = sub.add_parser("solve-bspde", help="solve the backward SPDE (closed form + regression)")
-    p.add_argument("--config")
+    bspde_help = "solve the backward SPDE (closed form + regression)"
+    p = command("solve-bspde", cmd_solve_bspde, BSPDE_SCHEMA, bspde_help)
     p.add_argument("--paths", type=int)
     p.add_argument("--steps", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--probe", action="append", type=_floats, help="t,x probe (repeatable)")
     p.add_argument("--output")
     p.add_argument("--report")
-    p.set_defaults(handler=cmd_solve_bspde)
 
-    p = sub.add_parser("zakai", help="filter one observation path, emit a density movie")
-    p.add_argument("--config")
+    p = command(
+        "zakai", cmd_zakai, ZAKAI_SCHEMA, "filter one observation path, emit a density movie"
+    )
     p.add_argument("--steps", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--output")
     p.add_argument("--report")
-    p.set_defaults(handler=cmd_zakai)
 
-    p = sub.add_parser("control", help="brute-force policy search + optimality margins")
-    p.add_argument("--config")
+    p = command(
+        "control", cmd_control, CONTROL_SCHEMA, "brute-force policy search + optimality margins"
+    )
     p.add_argument("--paths", type=int)
     p.add_argument("--steps", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--intervals", type=int)
     p.add_argument("--output")
-    p.set_defaults(handler=cmd_control)
 
-    p = sub.add_parser("verify-all", help="run the acceptance checks")
-    p.add_argument("--config")
+    p = command("verify-all", cmd_verify_all, VERIFY_SCHEMA, "run the acceptance checks")
     p.add_argument("--tier", choices=["quick", "full"])
     p.add_argument("--seed", type=int)
-    p.add_argument("--checks", help="comma-separated check ids (overrides the tier)")
+    p.add_argument(
+        "--checks",
+        type=lambda text: text.split(","),
+        help="comma-separated check ids (overrides the tier)",
+    )
     p.add_argument("--report")
     p.add_argument("--timing")
-    p.set_defaults(handler=cmd_verify_all)
     return parser
 
 
@@ -807,7 +735,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad flags, which matches the config-error code
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        return args.handler(_load_config(args.config, args.schema, _flags(args, args.schema)))
     except ConfigError as exc:
         print(f"config error at {exc.key_path or '<root>'}: {exc}", file=sys.stderr)
         return 2

@@ -101,10 +101,6 @@ class Grid1D:
             raise ValueError(f"mode {k} outside [-n/2, n/2)")
         return k % self.n
 
-    @classmethod
-    def default(cls, x_min: float = -32.0, x_max: float = 32.0, n: int = 2048) -> "Grid1D":
-        return cls(x_min, x_max, n)
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -188,8 +184,9 @@ def dft(f: GridFunction) -> SpectralCoeffs:
     return SpectralCoeffs(g, g.dx * raw * np.exp(1j * g.xi * g.x_min))
 
 
-def idft(c: SpectralCoeffs, imag_tol: float = 1e-10) -> GridFunction:
+def idft(c: SpectralCoeffs) -> GridFunction:
     """Inverse transform; raises SymmetryViolation if the result is not real."""
+    imag_tol = 1e-10
     g = c.grid
     shifted = c.coeffs * np.exp(-1j * g.xi * g.x_min)
     vals = np.fft.fft(shifted) / g.length

@@ -13,7 +13,6 @@ def design_matrix(
     w_cum: np.ndarray,
     step: int,
     coarse_steps: np.ndarray,
-    degree: int,
 ) -> np.ndarray:
     """Monomials (degree <= 2) in W at past coarse times and the current time.
 
@@ -24,13 +23,10 @@ def design_matrix(
     if step > 0:
         cols.append(w_cum[:, step])
     n_paths = w_cum.shape[0]
-    feats = [np.ones(n_paths)]
-    if degree >= 1:
-        feats.extend(cols)
-    if degree >= 2:
-        for i in range(len(cols)):
-            for j in range(i, len(cols)):
-                feats.append(cols[i] * cols[j])
+    feats = [np.ones(n_paths)] + cols
+    for i in range(len(cols)):
+        for j in range(i, len(cols)):
+            feats.append(cols[i] * cols[j])
     return np.column_stack(feats)
 
 

@@ -355,8 +355,6 @@ def solve_adjoint(
     y_inc: np.ndarray,
     n_steps: int = 64,
     output_times: Sequence[float] | None = None,
-    basis_degree: int = 2,
-    n_coarse: int = 6,
     cond_threshold: float = 1e8,
 ) -> AdjointState:
     """Backward regression scheme for dq = [-L* q - f - h l] dt + l dY, q(T) = g.
@@ -381,7 +379,7 @@ def solve_adjoint(
         [np.zeros((n_paths, 1)), np.cumsum(y_inc, axis=1)], axis=1
     )
     coarse_steps = np.unique(
-        np.round(np.linspace(0, n_steps, min(n_coarse, n_steps) + 1)).astype(int)
+        np.round(np.linspace(0, n_steps, min(6, n_steps) + 1)).astype(int)
     )[1:]
 
     out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
@@ -397,7 +395,7 @@ def solve_adjoint(
     for i in range(n_steps - 1, -1, -1):
         t_hi = times[i + 1]
         v_hi = policy.value_at(times[i])
-        design = design_matrix(y_cum, i, coarse_steps, basis_degree)
+        design = design_matrix(y_cum, i, coarse_steps)
         targets_l = q * (y_inc[:, i][:, None] / dt)
         l_fit, l_se, cond1 = project_expectation(design, targets_l, cond_threshold)
         lq = apply_L_star(q, t_hi, v_hi, problem)
@@ -505,20 +503,17 @@ def verify_maximum_principle(
     policy: ControlPolicy,
     y_inc: np.ndarray,
     n_steps: int = 64,
-    check_times: Sequence[float] | None = None,
     discretization_estimate: float | None = None,
-    subsample: int = 512,
 ) -> MaxPrincipleReport:
     """Check H(t, v, p, q) >= H(t, u_t, p, q) - tol along the given policy.
 
-    Margins are path averages of the Hamiltonian gap at each checked (t, v);
-    tol = 3 (stderr + discretization estimate).  When no discretization
-    estimate is supplied, the pipeline is re-run at half the step count on a
-    path subsample and the worst margin shift is used.
+    Margins are path averages of the Hamiltonian gap at each (t, v) with t
+    the midpoint of a policy interval; tol = 3 (stderr + discretization
+    estimate).  When no discretization estimate is supplied, the pipeline is
+    re-run at half the step count on the first 512 paths and the worst
+    margin shift is used.
     """
-    if check_times is None:
-        mids = 0.5 * (np.asarray(policy.edges[:-1]) + np.asarray(policy.edges[1:]))
-        check_times = list(mids)
+    check_times = list(0.5 * (np.asarray(policy.edges[:-1]) + np.asarray(policy.edges[1:])))
 
     def margins(paths: np.ndarray, steps: int):
         zak = solve_zakai(problem, policy, paths, n_steps=steps, output_times=check_times)
@@ -538,7 +533,7 @@ def verify_maximum_principle(
 
     full = margins(y_inc, n_steps)
     if discretization_estimate is None:
-        sub = y_inc[: min(subsample, y_inc.shape[0])]
+        sub = y_inc[:512]
         if n_steps % 2:
             raise ValueError("n_steps must be even for the internal refinement probe")
         sub_coarse = sub.reshape(sub.shape[0], n_steps // 2, 2).sum(axis=2)

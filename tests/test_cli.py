@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from fracbspde.cli import main, run_verification
+from fracbspde.cli import _flags, _load_config, build_parser, main, run_verification
 from fracbspde.grid import Grid1D, GridFunction, write_field_csv
 
 
@@ -280,13 +281,43 @@ def test_solve_bspde_off_grid_probe_exit_2(tmp_path, capsys):
         ({"grid": {"x_min": "a"}}, "grid.x_min"),
         ({"steps": True}, "steps"),
         ({"T": False}, "T"),
+        # a config file that is missing, and one that is not JSON
+        (None, "config"),
+        ("not-json", "config"),
+        # counts below their minimum, from a config file and from flags
+        ({"steps": 0}, "steps"),
+        (["levy", "--steps", "0"], "steps"),
+        (["levy", "--paths", "0"], "paths"),
+        (["solve-bspde", "--steps", "0"], "steps"),
+        (["solve-bspde", "--paths", "0"], "paths"),
+        (["solve-pde", "--steps", "0"], "steps"),
+        (["kernel", "--samples", "0"], "samples"),
+        (["fraclap", "--method", "integral", "--quad-points", "0"], "quadrature_points"),
     ],
 )
 def test_config_type_and_grid_errors_exit_2(tmp_path, capsys, cfg, key):
+    """cfg is a zakai config (a dict, raw text, or None for no file) or the argv of a subcommand."""
     path = tmp_path / "z.json"
-    path.write_text(json.dumps(cfg))
-    argv = ["zakai", "--config", str(path), "--output", str(tmp_path / "z.csv")]
-    assert _config_error(capsys, argv) == key
+    if isinstance(cfg, list):
+        argv = cfg
+    else:
+        argv = ["zakai", "--config", str(path)]
+        if cfg is not None:
+            path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    out = tmp_path / "out"
+    assert _config_error(capsys, argv + ["--output", str(out)]) == key
+    assert not out.exists()
+
+
+def test_every_flag_sets_its_config_key():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        dests = {a.dest for a in sub._actions} - {"help", "config"}
+        assert dests <= set(sub.get_default("schema")), name
+    args = parser.parse_args(["verify-all", "--checks", "kernel-mass,gaussian-reduction"])
+    cfg = _load_config(args.config, args.schema, _flags(args, args.schema))
+    assert cfg["checks"] == ["kernel-mass", "gaussian-reduction"]
 
 
 def test_fraclap_rejects_uneven_csv(tmp_path, capsys):
