@@ -59,6 +59,7 @@ __all__ = [
     "solve_pde_variable_coeff",
     "solve_bspde_linear_gaussian",
     "solve_bspde_regression",
+    "regress_backward",
     "space_process_norm",
     "HolderRatio",
     "verify_holder_estimate",
@@ -504,6 +505,13 @@ def solve_pde_variable_coeff(
 # --- pathwise solvers -----------------------------------------------------------
 
 
+def _brownian_path(increments: np.ndarray) -> np.ndarray:
+    """W at steps 0..N (W_0 = 0) from its (paths, N) increments, built in place."""
+    w_cum = np.zeros((increments.shape[0], increments.shape[1] + 1))
+    np.cumsum(increments, axis=1, out=w_cum[:, 1:])
+    return w_cum
+
+
 def _require_sigma_zero(data: BSPDEData) -> None:
     probes = np.linspace(0.0, data.T, 9)
     if any(abs(data.sigma_at(t)) > 1e-14 for t in probes):
@@ -549,7 +557,7 @@ def solve_bspde_linear_gaussian(
     ).u
 
     w_inc = rng.generator().normal(0.0, np.sqrt(dt), (n_paths, n_steps))
-    w_cum = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(w_inc, axis=1)], axis=1)
+    w_cum = _brownian_path(w_inc)
 
     u = np.empty((n_paths, out_idx.size, g.n))
     v = np.empty((out_idx.size, g.n))
@@ -614,16 +622,68 @@ class RegressionSolution:
         return float(np.sqrt(np.sum(v_se**2)) / self.grid.n)
 
 
-def _spec_mode_mass(spec_or_array, grid: Grid1D) -> np.ndarray:
+def _mode_mass(field, grid: Grid1D, times: np.ndarray) -> np.ndarray:
+    """Largest |fft| per mode of a field: the profiles of a RandomFieldSpec,
+    an array, or a map t -> array sampled at about eight of the times."""
     out = np.zeros(grid.n)
-    if spec_or_array is None:
+    if field is None:
         return out
-    if isinstance(spec_or_array, RandomFieldSpec):
-        for term in spec_or_array.terms:
-            out = np.maximum(out, np.abs(np.fft.fft(term.profile)))
+    if isinstance(field, RandomFieldSpec):
+        arrays = [term.profile for term in field.terms]
+    elif callable(field):
+        arrays = [field(t) for t in times[:: max(1, times.size // 8)]]
     else:
-        out = np.maximum(out, np.abs(np.fft.fft(np.asarray(spec_or_array, dtype=float))))
+        arrays = [field]
+    for arr in arrays:
+        out = np.maximum(out, np.abs(np.fft.fft(np.asarray(arr, dtype=float))))
     return out
+
+
+def regress_backward(
+    increments: np.ndarray,
+    terminal: np.ndarray,
+    drift: Callable[[int, np.ndarray], np.ndarray],
+    vol: Callable[[int], np.ndarray | float],
+    coarse_steps: np.ndarray,
+    out_idx: np.ndarray,
+    dt: float,
+    cond_threshold: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Backward regression scheme of Gobet, Lemor & Warin (Ann. Appl. Probab.
+    15(3), 2005) for dY = -(drift(t, Y) + vol(t) Z) dt + Z dW, Y(T) = terminal,
+    on the paths with the given (paths, steps) Brownian increments.
+
+    Step i makes one projection onto the degree-2 design of the path up to i,
+        [Z_i, Y'_i] = E[[Y_{i+1} dW_i / dt, Y_{i+1} + dt drift(i, Y_{i+1})] | F_i],
+    and sets Y_i = Y'_i + dt vol(i) Z_i: since Z_i lies in the design span, this
+    is the projection of Y_{i+1} + dt (drift + vol Z_i).  The scheme leaves Z at
+    T undefined; it is reported as the fit of the last step, N - 1.  Returns Y,
+    Z (paths, out_idx, columns), the fitted-value standard error of Z
+    (out_idx, columns) and the largest design condition number.
+    """
+    n_paths, n_steps = increments.shape
+    w_cum = _brownian_path(increments)
+    pos = {int(i): r for r, i in enumerate(out_idx)}
+    Y = terminal
+    cols = Y.shape[1]
+    Y_out = np.empty((n_paths, len(out_idx), cols), dtype=Y.dtype)
+    Z_out = np.zeros_like(Y_out)
+    se_out = np.zeros((len(out_idx), cols))
+    if n_steps in pos:
+        Y_out[:, pos[n_steps]] = Y
+    max_cond = 0.0
+    for i in range(n_steps - 1, -1, -1):
+        design = design_matrix(w_cum, i, coarse_steps)
+        targets = np.hstack([Y * (increments[:, i][:, None] / dt), Y + dt * drift(i, Y)])
+        fitted, se, cond = project_expectation(design, targets, cond_threshold)
+        Z, se = fitted[:, :cols], se[:cols]
+        Y = fitted[:, cols:] + dt * vol(i) * Z
+        max_cond = max(max_cond, cond)
+        if i == n_steps - 1 and n_steps in pos:
+            Z_out[:, pos[n_steps]], se_out[pos[n_steps]] = Z, se
+        if i in pos:
+            Y_out[:, pos[i]], Z_out[:, pos[i]], se_out[pos[i]] = Y, Z, se
+    return Y_out, Z_out, se_out, max_cond
 
 
 def solve_bspde_regression(
@@ -634,23 +694,21 @@ def solve_bspde_regression(
     output_times: Sequence[float] | None = None,
     cond_threshold: float = 1e8,
 ) -> RegressionSolution:
-    """Backward-Euler regression scheme for the per-mode linear BSDE.
+    """Backward regression scheme for the per-mode linear BSDE.
 
-    Each retained Fourier mode satisfies a scalar linear BSDE; stepping
-    backward,
-        v_hat(t_i) ~ E[u_hat(t_{i+1}) dW_i | F_i] / dt,
-        u_hat(t_i) ~ E[u_hat(t_{i+1}) + dt(-a|xi|^alpha u_hat(t_{i+1})
-                        + f_hat + sigma v_hat(t_i)) | F_i],
-    with conditional expectations realized as least-squares projections onto
-    polynomials (degree <= 2, the degree of every PathFunctional) of the
-    Brownian path at coarse times.
+    Each retained Fourier mode satisfies a scalar linear BSDE, which
+    regress_backward solves with Y = u_hat, Z = v_hat, drift
+    -a|xi|^alpha u_hat + f_hat and vol sigma: one least-squares projection
+    per step onto polynomials (degree <= 2, the degree of every
+    PathFunctional) of the Brownian path at coarse times.  v_hat at T is the
+    fit of the last step.
     """
     g = data.grid
     times = np.linspace(0.0, data.T, n_steps + 1)
     dt = data.T / n_steps
     lam_full = frac_lap_multiplier(g, data.alpha)
 
-    mass = np.maximum(_spec_mode_mass(data.g, g), _spec_mode_mass_from_f(data.f, g, times))
+    mass = np.maximum(_mode_mass(data.g, g, times), _mode_mass(data.f, g, times))
     mode_indices = np.nonzero(mass > 1e-12 * max(float(mass.max()), 1e-300))[0]
     if mode_indices.size == 0:
         mode_indices = np.array([0])
@@ -666,28 +724,25 @@ def solve_bspde_regression(
 
     gen = rng.generator()
     w_inc = gen.normal(0.0, np.sqrt(dt), (n_paths, n_steps))
-    w_cum = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(w_inc, axis=1)], axis=1)
-
-    def w_of_factory(max_step: int):
-        def w_of(tau: float) -> np.ndarray:
-            return w_cum[:, min(time_indices(times, [tau])[0], max_step)]
-
-        return w_of
 
     def field_hat_at(spec, step: int) -> np.ndarray:
-        """FFT of the (possibly random) field at a step, clipped for adaptedness."""
-        if spec is None:
-            return np.zeros((n_paths, mode_indices.size), dtype=complex)
+        """FFT of the field (array, map t -> array or RandomFieldSpec) at a step,
+        clipped for adaptedness."""
         if isinstance(spec, RandomFieldSpec):
             out = np.zeros((n_paths, mode_indices.size), dtype=complex)
-            w_of = w_of_factory(step)
+            # built per call, so no second full path lives beside regress_backward's
+            w_cum = _brownian_path(w_inc[:, :step])
+
+            def w_of(tau: float) -> np.ndarray:
+                return w_cum[:, min(time_indices(times, [tau])[0], step)]
+
             for term in spec.terms:
                 prof_hat = np.fft.fft(term.profile)[mode_indices]
                 coeff = term.functional.evaluate(w_of)
                 coeff = np.broadcast_to(np.asarray(coeff, dtype=float), (n_paths,))
                 out += coeff[:, None] * prof_hat[None, :]
             return out
-        vals = np.asarray(spec(times[step]), dtype=float)
+        vals = np.asarray(spec(times[step]) if callable(spec) else spec, dtype=float)
         return np.broadcast_to(np.fft.fft(vals)[mode_indices], (n_paths, mode_indices.size))
 
     coarse_steps = np.unique(
@@ -701,46 +756,16 @@ def solve_bspde_regression(
     extra = time_indices(times, sorted(spec_times))
     coarse_steps = np.unique(np.concatenate([coarse_steps, extra]).astype(int))
 
-    if isinstance(data.g, RandomFieldSpec):
-        u_hat = field_hat_at(data.g, n_steps).copy()
-    else:
-        u_hat = np.broadcast_to(
-            np.fft.fft(data.deterministic_g())[mode_indices], (n_paths, mode_indices.size)
-        ).astype(complex).copy()
+    def drift(i: int, u: np.ndarray) -> np.ndarray:
+        a_i = float(data.a(np.asarray([times[i + 1]]))[0])
+        f_hat = field_hat_at(data.f, i + 1) if data.f is not None else 0.0
+        return -a_i * lam[None, :] * u + f_hat
 
     out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
-    M = mode_indices.size
-    u_store = np.empty((n_paths, out_idx.size, M), dtype=complex)
-    v_store = np.zeros((n_paths, out_idx.size, M), dtype=complex)
-    v_se_store = np.zeros((out_idx.size, M))
-    out_pos = {int(i): r for r, i in enumerate(out_idx)}
-    if n_steps in out_pos:
-        u_store[:, out_pos[n_steps], :] = u_hat
-        # v at T is not defined by the scheme; report the last fitted value later
-
-    max_cond = 0.0
-    last_v = np.zeros((n_paths, M), dtype=complex)
-    last_v_se = np.zeros(M)
-    for i in range(n_steps - 1, -1, -1):
-        design = design_matrix(w_cum, i, coarse_steps)
-        targets_v = u_hat * (w_inc[:, i][:, None] / dt)
-        v_fit, v_se, cond1 = project_expectation(design, targets_v, cond_threshold)
-        a_i = float(data.a(np.asarray([times[i + 1]]))[0])
-        sig_i = data.sigma_at(times[i])
-        f_hat = field_hat_at(data.f, i + 1) if data.f is not None else 0.0
-        drift = dt * (-a_i * lam[None, :] * u_hat + f_hat + sig_i * v_fit)
-        u_fit, _, cond2 = project_expectation(design, u_hat + drift, cond_threshold)
-        u_hat = u_fit
-        last_v, last_v_se = v_fit, v_se
-        max_cond = max(max_cond, cond1, cond2)
-        if i in out_pos:
-            u_store[:, out_pos[i], :] = u_hat
-            v_store[:, out_pos[i], :] = v_fit
-            v_se_store[out_pos[i]] = v_se
-    if n_steps in out_pos and n_steps > 0:
-        v_store[:, out_pos[n_steps], :] = last_v
-        v_se_store[out_pos[n_steps]] = last_v_se
-
+    u_store, v_store, v_se_store, max_cond = regress_backward(
+        w_inc, field_hat_at(data.g, n_steps), drift, lambda i: data.sigma_at(times[i]),
+        coarse_steps, out_idx, dt, cond_threshold,
+    )
     return RegressionSolution(
         grid=g,
         times=times[out_idx],
@@ -757,17 +782,6 @@ def solve_bspde_regression(
             "coarse_steps": coarse_steps.tolist(),
         },
     )
-
-
-def _spec_mode_mass_from_f(f, grid: Grid1D, times: np.ndarray) -> np.ndarray:
-    if f is None:
-        return np.zeros(grid.n)
-    if isinstance(f, RandomFieldSpec):
-        return _spec_mode_mass(f, grid)
-    out = np.zeros(grid.n)
-    for t in times[:: max(1, times.size // 8)]:
-        out = np.maximum(out, np.abs(np.fft.fft(np.asarray(f(t), dtype=float))))
-    return out
 
 
 # --- Holder-estimate verification ------------------------------------------------
@@ -932,28 +946,18 @@ def fbsde_crosscheck(
     fine = solve(n_steps_solver)
     coarse = solve(n_steps_solver // 2)
 
-    def b_fn(t, x):
-        if data.b is None:
-            return np.zeros_like(x)
-        vals = np.asarray(data.b(t), dtype=float)
-        return np.interp(x, g.x, vals, period=g.length)
+    def at_particles(field_fn):
+        """t -> field on the grid becomes (t, x) -> its periodic interpolation at x."""
+        def fn(t, x):
+            return np.interp(x, g.x, np.asarray(field_fn(t), dtype=float), period=g.length)
 
-    def c_fn(t, x):
-        if data.c is None:
-            return np.zeros_like(x)
-        vals = np.asarray(data.c(t), dtype=float)
-        return np.interp(x, g.x, vals, period=g.length)
+        return fn
+
+    def a_const(t, x):
+        return data.a(np.asarray([t]))[0] * np.ones_like(x)
 
     g_arr = data.deterministic_g()
-
-    def g_fn(x):
-        return np.interp(x, g.x, g_arr, period=g.length)
-
     f_dt = data.deterministic_f()
-
-    def f_fn(t, x):
-        vals = np.asarray(f_dt(t), dtype=float)
-        return np.interp(x, g.x, vals, period=g.length)
 
     results = []
     for idx, (t, x) in enumerate(probes):
@@ -961,11 +965,11 @@ def fbsde_crosscheck(
         pde_val = float(fine.u_at(t)[xi_idx])
         bound = abs(pde_val - float(coarse.u_at(t)[xi_idx])) + 1e-10
         mc = feynman_kac_estimate(
-            g=g_fn,
-            f=None if data.f is None else f_fn,
-            c=None if data.c is None else c_fn,
-            b=None if data.b is None else b_fn,
-            a=lambda s, y: data.a(np.asarray([s]))[0] * np.ones_like(y),
+            g=lambda y: np.interp(y, g.x, g_arr, period=g.length),
+            f=None if f_dt is None else at_particles(f_dt),
+            c=None if data.c is None else at_particles(data.c),
+            b=None if data.b is None else at_particles(data.b),
+            a=a_const if data.a_xt is None else at_particles(data.a_xt),
             alpha=data.alpha,
             x=float(g.x[xi_idx]),
             t=t,

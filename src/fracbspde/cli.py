@@ -507,6 +507,8 @@ def cmd_control(cfg: dict) -> int:
     # the optimality check reads p, q at interval midpoints on this grid and on its halving
     if cfg["steps"] % (4 * m):
         raise ConfigError(f"steps must be a positive multiple of 4 * intervals = {4 * m}", "steps")
+    if cfg["paths"] < 2:  # the check's margins carry a standard error over paths
+        raise ConfigError("paths must be >= 2", "paths")
     grid = _grid_from_cfg(cfg, pathwise=True)
     weight = np.minimum((grid.x - cfg["target"]) ** 2, cfg["cost_clip"])
     prob = ControlProblem(

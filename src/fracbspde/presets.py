@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, MalformedInput
 from .grid import Grid1D, read_field_csv
 
 __all__ = ["parse_field", "parse_time_fn"]
@@ -46,6 +46,8 @@ def parse_field(spec: str, grid: Grid1D, name: str = "field") -> np.ndarray:
             return read_field_csv(args[0], grid=grid).values
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"{name}: malformed preset {spec!r} ({exc})", name) from exc
+    except (OSError, MalformedInput) as exc:
+        raise ConfigError(f"{name}: unreadable preset {spec!r} ({exc})", name) from exc
     raise ConfigError(f"{name}: unknown field preset kind {kind!r}", name)
 
 

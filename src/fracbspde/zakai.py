@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bspde import regress_backward
 from .errors import (
     BlowUp,
     BudgetExceeded,
@@ -41,7 +42,6 @@ from .errors import (
 from .fraclap import check_alpha, frac_lap_multiplier
 from .grid import Grid1D, apply_multiplier, derivative_multiplier, time_indices
 from .kernel import CoefficientA, eval_A
-from .regression import design_matrix, project_expectation
 
 __all__ = [
     "ControlProblem",
@@ -359,8 +359,10 @@ def solve_adjoint(
 ) -> AdjointState:
     """Backward regression scheme for dq = [-L* q - f - h l] dt + l dY, q(T) = g.
 
-    l(t_i) is the regression of q(t_{i+1}) dY_i / dt on path functionals of Y;
-    q(t_i) projects q(t_{i+1}) + dt (L* q(t_{i+1}) + f + h l(t_i)).  With
+    bspde.regress_backward with Y = q, Z = l, drift L* q + f and vol h: one
+    projection per step gives l(t_i) ~ E[q(t_{i+1}) dY_i / dt | F_i] and
+    q(t_i) ~ E[q(t_{i+1}) + dt (L* q(t_{i+1}) + f) | F_i] + dt h l(t_i), on
+    path functionals of Y.  l at T is the fit of the last step.  With
     h == 0 the updates are deterministic and reproduce the backward PDE with
     transport coefficient k.
     """
@@ -374,46 +376,29 @@ def solve_adjoint(
             f"explicit diffusion number a |xi|^alpha dt = {stiff:.3g} > 2; raise "
             f"n_steps above {int(np.ceil(n_steps * stiff / 2))}"
         )
-    n_paths = y_inc.shape[0]
-    y_cum = np.concatenate(
-        [np.zeros((n_paths, 1)), np.cumsum(y_inc, axis=1)], axis=1
-    )
     coarse_steps = np.unique(
         np.round(np.linspace(0, n_steps, min(6, n_steps) + 1)).astype(int)
     )[1:]
-
     out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
-    pos = {int(i): r for r, i in enumerate(out_idx)}
 
-    q = np.broadcast_to(problem.g, (n_paths, g.n)).copy()
-    q_out = np.empty((n_paths, out_idx.size, g.n))
-    l_out = np.zeros((n_paths, out_idx.size, g.n))
-    l_se_out = np.zeros(out_idx.size)
-    if n_steps in pos:
-        q_out[:, pos[n_steps], :] = q
-    max_cond = 0.0
-    for i in range(n_steps - 1, -1, -1):
-        t_hi = times[i + 1]
-        v_hi = policy.value_at(times[i])
-        design = design_matrix(y_cum, i, coarse_steps)
-        targets_l = q * (y_inc[:, i][:, None] / dt)
-        l_fit, l_se, cond1 = project_expectation(design, targets_l, cond_threshold)
-        lq = apply_L_star(q, t_hi, v_hi, problem)
+    def drift(i: int, q: np.ndarray) -> np.ndarray:
+        t_hi, v_hi = times[i + 1], policy.value_at(times[i])
         f_field = np.asarray(problem.f(t_hi, v_hi), dtype=float)
-        h_field = np.asarray(problem.h(times[i]), dtype=float)
-        target_q = q + dt * (lq + f_field[None, :] + h_field[None, :] * l_fit)
-        q, _, cond2 = project_expectation(design, target_q, cond_threshold)
-        max_cond = max(max_cond, cond1, cond2)
-        if i in pos:
-            q_out[:, pos[i], :] = q
-            l_out[:, pos[i], :] = l_fit
-            l_se_out[pos[i]] = float(np.sqrt(np.mean(l_se**2)))
+        return apply_L_star(q, t_hi, v_hi, problem) + f_field
+
+    q_out, l_out, l_se, max_cond = regress_backward(
+        y_inc,
+        np.broadcast_to(problem.g, (y_inc.shape[0], g.n)),
+        drift,
+        lambda i: np.asarray(problem.h(times[i]), dtype=float),
+        coarse_steps, out_idx, dt, cond_threshold,
+    )
     return AdjointState(
         grid=g,
         times=times[out_idx],
         q=q_out,
         l=l_out,
-        l_se=l_se_out,
+        l_se=np.sqrt(np.mean(l_se**2, axis=1)),
         meta={"n_steps": n_steps, "max_design_cond": max_cond, "policy": policy},
     )
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbspde.bspde import (
     BSPDEData,
@@ -19,6 +21,7 @@ from fracbspde.errors import IllConditioned, OffGridTime, StabilityError, Unsupp
 from fracbspde.grid import Grid1D
 from fracbspde.kernel import CoefficientA, eval_A
 from fracbspde.levy import RngStream
+from fracbspde.regression import project_expectation
 
 GRID = Grid1D(-32.0, 32.0, 256)
 XI1 = 2 * np.pi / GRID.length
@@ -318,6 +321,53 @@ def test_regression_deterministic_v_below_noise_floor():
         assert rms <= 3.0 * sol.v_noise_floor(t)
 
 
+def test_regression_v_at_terminal_time_is_last_step_fit():
+    # the scheme does not define v at T; it is the fit of step N-1, near the
+    # closed form v(T) = c1 times the profile
+    data = make_data(g=affine_terminal(np.sin(8 * XI1 * GRID.x), 0.3, 1.0, 1.0))
+    n_steps = 64
+    reg = solve_bspde_regression(data, n_paths=2000, rng=RngStream(1), n_steps=n_steps)
+    np.testing.assert_array_equal(reg.v_values(1.0), reg.v_values(1.0 - 1.0 / n_steps))
+    assert reg.v_noise_floor(1.0) == reg.v_noise_floor(1.0 - 1.0 / n_steps)
+    # column 8 sits on a crest of the profile; the path mean's SE is about 0.19
+    assert abs(reg.v_values(1.0)[:, 8].mean() - 1.0) < 0.2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_feat=st.integers(1, 6),
+    cols=st.integers(1, 4),
+    complex_targets=st.booleans(),
+    per_column_vol=st.booleans(),
+    dt=st.floats(1e-3, 1.0),
+)
+def test_one_projection_per_step_matches_two(
+    seed, n_feat, cols, complex_targets, per_column_vol, dt
+):
+    # regress_backward projects [Y dW/dt, Y + dt drift] once and adds dt vol Z
+    # afterwards; Z lies in the design span, so this equals projecting
+    # Y + dt (drift + vol Z) after Z
+    rng = np.random.default_rng(seed)
+    n_paths = int(rng.integers(4 * n_feat, 200))
+    design = np.column_stack([np.ones(n_paths), rng.normal(size=(n_paths, n_feat - 1))])
+
+    def draw():
+        out = rng.normal(size=(n_paths, cols))
+        return out + 1j * rng.normal(size=(n_paths, cols)) if complex_targets else out
+
+    Y, drift, z_target = draw(), draw(), draw()
+    vol = rng.normal(size=cols) if per_column_vol else float(rng.normal())
+    fitted, _, _ = project_expectation(design, np.hstack([z_target, Y + dt * drift]))
+    Z = fitted[:, :cols]
+    one = fitted[:, cols:] + dt * vol * Z
+    Z_alone, _, _ = project_expectation(design, z_target)
+    np.testing.assert_allclose(Z, Z_alone, rtol=0, atol=1e-12 * np.abs(Z_alone).max())
+    target = Y + dt * (drift + vol * Z_alone)
+    two, _, _ = project_expectation(design, target)
+    np.testing.assert_allclose(one, two, rtol=0, atol=1e-12 * np.abs(target).max())
+
+
 def test_regression_sigma_invariance_for_deterministic_data():
     # with deterministic data the Girsanov factor integrates out: u must not
     # depend on sigma beyond replication noise
@@ -470,3 +520,21 @@ def test_fbsde_crosscheck_constant_drift():
     assert res[0].pde_value == pytest.approx(np.exp(-1.0) * np.cos(1.0), abs=1e-4)
     for r in res:
         assert r.passed
+
+
+def test_fbsde_crosscheck_space_dependent_a():
+    # the Monte Carlo particles must feel a_xt(x), not the space-invariant a
+    grid = Grid1D(-8 * np.pi, 8 * np.pi, 256)
+    data = BSPDEData(
+        grid=grid,
+        alpha=1.5,
+        T=1.0,
+        a=CoefficientA.constant(1.0),
+        g=np.cos(grid.x),
+        a_xt=lambda t: 1.0 + 0.6 * np.cos(grid.x),
+    )
+    res = fbsde_crosscheck(
+        data, probes=[(0.0, 0.0), (0.0, np.pi)], rng=RngStream(5), n_paths=20000
+    )
+    for r in res:
+        assert r.passed, (r.x, r.mc.mean, r.pde_value)

@@ -293,6 +293,8 @@ def test_solve_bspde_off_grid_probe_exit_2(tmp_path, capsys):
         (["solve-pde", "--steps", "0"], "steps"),
         (["kernel", "--samples", "0"], "samples"),
         (["fraclap", "--method", "integral", "--quad-points", "0"], "quadrature_points"),
+        # the maximum-principle check takes a standard error over paths
+        (["control", "--paths", "1"], "paths"),
     ],
 )
 def test_config_type_and_grid_errors_exit_2(tmp_path, capsys, cfg, key):
@@ -318,6 +320,17 @@ def test_every_flag_sets_its_config_key():
     args = parser.parse_args(["verify-all", "--checks", "kernel-mass,gaussian-reduction"])
     cfg = _load_config(args.config, args.schema, _flags(args, args.schema))
     assert cfg["checks"] == ["kernel-mass", "gaussian-reduction"]
+
+
+def test_csv_preset_errors_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "pde.json"
+    off_grid = tmp_path / "g.csv"  # a 4-point field on a 64-point grid
+    off_grid.write_text("x,value\n0,1\n1,2\n2,3\n3,4\n")
+    argv = ["solve-pde", "--config", str(cfg), "--output", str(tmp_path / "s.csv")]
+    for g in (str(tmp_path / "nope.csv"), str(off_grid)):
+        cfg.write_text(json.dumps({"grid": {"n": 64}, "steps": 16, "g": "csv:" + g}))
+        assert _config_error(capsys, argv) == "g"
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_fraclap_rejects_uneven_csv(tmp_path, capsys):

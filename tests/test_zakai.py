@@ -247,6 +247,18 @@ def test_adjoint_matches_pde_solver_when_unobserved():
         assert l_rms <= 3.0 * adj.l_se[time_indices(adj.times, [t])[0]] + 1e-12
 
 
+def test_adjoint_l_at_terminal_time_is_last_step_fit():
+    # the scheme does not define l at T; it is the fit of step N-1
+    prob = make_problem(g=np.sin(XI1 * GRID.x), h=lambda t: np.full(GRID.n, 0.5))
+    n_steps = 64
+    y_inc = simulate_brownian_increments(PathGrid(0.0, prob.T, n_steps), RngStream(83), 64)
+    adj = solve_adjoint(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps)
+    last = prob.T * (1.0 - 1.0 / n_steps)
+    np.testing.assert_array_equal(adj.l_at(prob.T), adj.l_at(last))
+    assert adj.l_se[-1] == adj.l_se[-2] > 0.0
+    assert np.any(adj.l_at(prob.T) != 0.0)
+
+
 def test_hamiltonian_identities():
     phi = np.exp(-GRID.x**2 / 4)
     prob = make_problem(
