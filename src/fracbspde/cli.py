@@ -58,14 +58,21 @@ GRID_DEFAULT_PATHWISE = {"x_min": -32.0, "x_max": 32.0, "n": 256}
 # least value of each count key, in every schema that has it; 8 is the floor
 # of SingularIntegralConfig
 COUNT_MINIMUM = {"samples": 1, "quadrature_points": 8, "paths": 1, "steps": 1, "intervals": 1}
+# lengths that must be finite and > 0, in every schema that has them
+POSITIVE_KEYS = ("T", "horizon", "p0_width", "x_range")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < np.inf
 
 
 def _load_config(path: str | None, schema: dict, overrides: dict) -> dict:
     """Merge config-file values and CLI overrides against a schema.
 
-    schema maps key -> (type, default); unknown keys, wrong types and counts
-    below COUNT_MINIMUM are rejected with their path; None overrides are
-    ignored.
+    schema maps key -> (type, default); unknown keys, wrong types, counts
+    below COUNT_MINIMUM, POSITIVE_KEYS <= 0 and a control set that is not a
+    non-empty list of numbers are rejected with their path; None overrides
+    are ignored.
     """
     raw = {}
     if path is not None:
@@ -95,6 +102,10 @@ def _load_config(path: str | None, schema: dict, overrides: dict) -> dict:
             )
         if key in COUNT_MINIMUM and value < COUNT_MINIMUM[key]:
             raise ConfigError(f"{key} must be >= {COUNT_MINIMUM[key]}, got {value}", key)
+        if key in POSITIVE_KEYS and not (_is_number(value) and value > 0):
+            raise ConfigError(f"{key} must be finite and > 0, got {value}", key)
+        if key == "controls" and not (value and all(map(_is_number, value))):
+            raise ConfigError(f"controls must be a non-empty list of numbers, got {value}", key)
         resolved[key] = value
     for key, (_t, default) in schema.items():
         resolved.setdefault(key, default)

@@ -1,9 +1,15 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbspde.cli import _flags, _load_config, build_parser, main, run_verification
 from fracbspde.grid import Grid1D, GridFunction, write_field_csv
@@ -295,15 +301,32 @@ def test_solve_bspde_off_grid_probe_exit_2(tmp_path, capsys):
         (["fraclap", "--method", "integral", "--quad-points", "0"], "quadrature_points"),
         # the maximum-principle check takes a standard error over paths
         (["control", "--paths", "1"], "paths"),
+        # lengths that must be > 0, and the control set
+        (["levy", "--horizon", "0"], "horizon"),
+        (["kernel", "--xrange", "0"], "x_range"),
+        (["kernel", "--xrange", "-5"], "x_range"),
+        ({"p0_width": 0}, "p0_width"),
+        ({"T": -1}, "T"),
+        ({"T": 0}, "T"),
+        (("solve-pde", {"T": -1}), "T"),
+        (("solve-pde", {"T": 0}), "T"),
+        (("solve-bspde", {"T": -1}), "T"),
+        (("solve-bspde", {"T": 0}), "T"),
+        (("control", {"T": -1}), "T"),
+        (("control", {"T": 0}), "T"),
+        (("control", {"controls": []}), "controls"),
+        (("control", {"controls": ["a"]}), "controls"),
     ],
 )
 def test_config_type_and_grid_errors_exit_2(tmp_path, capsys, cfg, key):
-    """cfg is a zakai config (a dict, raw text, or None for no file) or the argv of a subcommand."""
+    """cfg is the argv of a subcommand, a (subcommand, config dict) pair, or a
+    zakai config (a dict, raw text, or None for no file)."""
     path = tmp_path / "z.json"
     if isinstance(cfg, list):
         argv = cfg
     else:
-        argv = ["zakai", "--config", str(path)]
+        command, cfg = cfg if isinstance(cfg, tuple) else ("zakai", cfg)
+        argv = [command, "--config", str(path)]
         if cfg is not None:
             path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     out = tmp_path / "out"
@@ -341,3 +364,73 @@ def test_fraclap_rejects_uneven_csv(tmp_path, capsys):
     assert _config_error(capsys, argv) == "input"
     assert _config_error(capsys, argv[:2] + [str(tmp_path / "missing.csv")] + argv[3:]) == "input"
     assert not out.exists()
+
+
+def _scalar(lo, hi):
+    """Floats on [lo, hi] with lo < 0, and 0 itself."""
+    return st.one_of(st.just(0.0), st.floats(lo, hi, allow_nan=False))
+
+
+_SMALL_GRID = st.fixed_dictionaries(
+    {"n": st.sampled_from([1, 2, 8, 32, 64]), "x_min": _scalar(-20, 5), "x_max": _scalar(-5, 20)}
+)
+_COUNT = st.integers(-1, 8)
+# (subcommand, config) for small runs: grid n <= 64, steps <= 8, paths <= 4, samples <= 33
+_SMALL_RUNS = st.one_of(
+    st.tuples(
+        st.just("kernel"),
+        st.fixed_dictionaries(
+            {
+                "alpha": _scalar(-1, 3),
+                "A": _scalar(-1, 3),
+                "x_range": _scalar(-5, 30),
+                "samples": st.integers(-1, 33),
+            }
+        ),
+    ),
+    st.tuples(
+        st.just("levy"),
+        st.fixed_dictionaries(
+            {
+                "alpha": _scalar(-1, 3),
+                "paths": st.integers(-1, 4),
+                "steps": _COUNT,
+                "seed": st.integers(-3, 3),
+                "horizon": _scalar(-1, 3),
+            }
+        ),
+    ),
+    st.tuples(
+        st.just("solve-pde"),
+        st.fixed_dictionaries(
+            {"grid": _SMALL_GRID, "alpha": _scalar(-1, 3), "T": _scalar(-1, 2), "steps": _COUNT}
+        ),
+    ),
+    st.tuples(
+        st.just("zakai"),
+        st.fixed_dictionaries(
+            {
+                "grid": _SMALL_GRID,
+                "alpha": _scalar(-1, 3),
+                "T": _scalar(-1, 1),
+                "p0_width": _scalar(-1, 3),
+                "steps": _COUNT,
+                "seed": st.integers(-3, 3),
+            }
+        ),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=_SMALL_RUNS)
+def test_small_configs_exit_cleanly(run):
+    """Every generated config exits 0, 1 or 2 without a traceback."""
+    command, cfg = run
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(path), "--output", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from fracbspde.errors import (
     OrderViolation,
+    OutOfRange,
     PositivityViolation,
     UnsupportedOrder,
 )
@@ -14,6 +15,7 @@ from fracbspde.kernel import (
     KernelParams,
     apply_semigroup_A,
     deriv_G,
+    deriv_G_ts,
     eval_A,
     eval_G,
     eval_G_ts,
@@ -95,6 +97,10 @@ def test_eval_G_ts_direct_fourier_oracle():
 def test_eval_G_ts_rejects_nonpositive_A():
     with pytest.raises(PositivityViolation):
         KernelParams(1.5, 0.0)
+    # A^(-4/alpha) of the third derivative would overflow a float
+    with pytest.raises(OutOfRange):
+        KernelParams(2.0, 3.3e-215)
+    assert np.isfinite(deriv_G_ts(0.0, KernelParams(2.0, 1e-150), 2))
 
 
 def test_deriv_G_odd_at_zero():
@@ -245,3 +251,61 @@ def test_verify_kernel_bounds_stability():
     # the k=1, gamma=0 fit is constant across (t-s) values (exact scaling)
     per_tau = np.asarray(by_id["weighted-integral-k1-g0"].extras["per_tau"])
     assert per_tau.max() / per_tau.min() < 1.02
+
+
+def test_eval_G_is_deriv_G_order_zero():
+    xs = np.linspace(-30.0, 30.0, 241)  # both the direct and the rotated-ray rule
+    for alpha in (1.2, 1.5, 2.0):
+        assert np.array_equal(eval_G(xs, alpha), deriv_G(xs, alpha, 0))
+        assert eval_G(3.0, alpha) == deriv_G(3.0, alpha, 0)
+        p = KernelParams(alpha, 0.37)
+        assert np.array_equal(eval_G_ts(xs, p), deriv_G_ts(xs, p, 0))
+        assert eval_G_ts(-2.0, p) == deriv_G_ts(-2.0, p, 0)
+
+
+def _direct_bound_constants(alpha, beta, n):
+    """Every constant of verify_kernel_bounds, evaluated directly on n nodes."""
+    taus = np.geomspace(1e-3, 1.0, 9)
+    out = {}
+    xs = np.linspace(0.0, 60.0, n)
+    for k in (0, 1):
+        vals = np.abs(deriv_G(xs, alpha, k)) * (1.0 + xs ** (1.0 + alpha + k))
+        out[f"pointwise-decay-k{k}"] = vals.max()
+    xs, gam = np.linspace(1e-6, 60.0, n), alpha / 2.0
+    vals = np.abs(frac_lap_G(xs, alpha, gam)) * (1.0 + xs ** (1.0 + gam))
+    out["pointwise-decay-fraclap"] = vals.max()
+    xs, gam = np.linspace(0.0, 80.0, n), min(beta, 0.9 * alpha)
+    sup = np.max([eval_G_ts(xs, KernelParams(alpha, A)) for A in np.geomspace(1e-3, 1.0, 17)], 0)
+    out["sup-kernel-weighted-integral"] = 2.0 * np.trapezoid(sup * xs**gam, xs)
+
+    def fitted(kernel_ts, gam, expo):
+        fits = []
+        for tau in taus:
+            xs = tau ** (1.0 / alpha) * np.linspace(0.0, 400.0, n)
+            vals = np.abs(kernel_ts(xs, KernelParams(alpha, tau))) * xs**gam
+            fits.append(2.0 * np.trapezoid(vals, xs) / tau**expo)
+        return max(fits)
+
+    for k, gam in ((0, 0.0), (1, 0.0), (2, beta)):
+        kernel_ts = lambda x, p: deriv_G_ts(x, p, k)  # noqa: E731
+        out[f"weighted-integral-k{k}-g{gam:g}"] = fitted(kernel_ts, gam, (gam - k) / alpha)
+    gam = min(beta, 0.9 * alpha)
+
+    def frac_lap_ts(x, p):
+        scale = p.A_ts ** (-1.0 / alpha)
+        return scale ** (1.0 + gam) * frac_lap_G(scale * x, alpha, gam)
+
+    out["weighted-integral-fraclap"] = fitted(frac_lap_ts, gam, gam / alpha - 1.0)
+    return out
+
+
+@pytest.mark.parametrize("alpha", [1.2, 2.0])
+def test_verify_kernel_bounds_reads_base_grid_off_refined_grid(alpha):
+    base_n = 41
+    checks = verify_kernel_bounds(alpha, beta=0.6, base_n=base_n)
+    base = _direct_bound_constants(alpha, 0.6, base_n)
+    refined = _direct_bound_constants(alpha, 0.6, 2 * base_n - 1)
+    assert [c.check_id for c in checks] == list(base)
+    for c in checks:
+        assert c.constant == pytest.approx(base[c.check_id], rel=1e-12), c.check_id
+        assert c.refined_constant == pytest.approx(refined[c.check_id], rel=1e-12), c.check_id
