@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    BlowUp,
     GridMismatch,
     InvalidExponent,
     StabilityError,
@@ -39,7 +40,6 @@ from .grid import (
     apply_multiplier,
     derivative_multiplier,
     ensemble_process_norms,
-    spectral_derivative,
     time_indices,
 )
 from .kernel import CoefficientA, eval_A
@@ -307,6 +307,13 @@ def _cumulative_A(a: CoefficientA, times: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _finite(u: np.ndarray, solver: str) -> np.ndarray:
+    """u itself; BlowUp when any of its values is not finite."""
+    if not np.all(np.isfinite(u)):
+        raise BlowUp(f"{solver} solution is not finite: the data or coefficients overflow")
+    return u
+
+
 def _f_values(f: FieldFn | None, times: np.ndarray, n: int) -> np.ndarray:
     if f is None:
         return np.zeros((times.size, n))
@@ -350,7 +357,7 @@ def solve_fourier_deterministic(
     return SolutionField(
         grid=g,
         times=times[out_idx],
-        u=u,
+        u=_finite(u, "fourier_deterministic"),
         v=None,
         meta={"solver": "fourier_deterministic", "n_steps": n_steps},
     )
@@ -394,7 +401,7 @@ def solve_kernel_deterministic(
     return SolutionField(
         grid=g,
         times=times[out_idx],
-        u=u,
+        u=_finite(u, "kernel_deterministic"),
         v=None,
         meta={"solver": "kernel_deterministic", "n_steps": n_steps},
     )
@@ -478,9 +485,8 @@ def solve_pde_variable_coeff(
         w_load = dt / 6.0 * (1.0 + 4.0 * np.exp(exp_half) + mult)
 
         u_field = store[i + 1]
-        u_gf = GridFunction(g, u_field)
         frac_u = np.real(np.fft.ifft(lam * u_hat))
-        du = spectral_derivative(u_gf).values
+        du = apply_multiplier(u_field, d1)
         expl = (
             -(a_hi - abar_hi) * frac_u
             + (b_hi - bbar) * du
@@ -496,7 +502,7 @@ def solve_pde_variable_coeff(
     return SolutionField(
         grid=g,
         times=times[out_idx],
-        u=u,
+        u=_finite(u, "pde_variable_coeff"),
         v=None,
         meta={"solver": "pde_variable_coeff", "n_steps": n_steps},
     )
@@ -544,42 +550,33 @@ def solve_bspde_linear_gaussian(
     g = data.grid
     times = np.linspace(0.0, data.T, n_steps + 1)
     dt = data.T / n_steps
-    lam = frac_lap_multiplier(g, data.alpha)
-    acc = _cumulative_A(data.a, times)
-
-    # deterministic source part, reusing the Fourier route
-    f_data = BSPDEData(
-        grid=g, alpha=data.alpha, T=data.T, a=data.a, g=np.zeros(g.n), f=data.deterministic_f()
-    )
     out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
-    f_part = solve_fourier_deterministic(
-        f_data, n_steps=n_steps, output_times=times[out_idx]
-    ).u
+
+    def fourier_part(terminal: np.ndarray, f: FieldFn | None) -> np.ndarray:
+        part = BSPDEData(grid=g, alpha=data.alpha, T=data.T, a=data.a, g=terminal, f=f)
+        return solve_fourier_deterministic(part, n_steps=n_steps, output_times=times[out_idx]).u
+
+    # the deterministic source part, then R_t^T of each terminal profile
+    source_part = fourier_part(np.zeros(g.n), data.deterministic_f())
 
     w_inc = rng.generator().normal(0.0, np.sqrt(dt), (n_paths, n_steps))
     w_cum = _brownian_path(w_inc)
 
-    u = np.empty((n_paths, out_idx.size, g.n))
-    v = np.empty((out_idx.size, g.n))
-    for row, i in enumerate(out_idx):
-        A_rest = acc[-1] - acc[i]
-        mult = np.exp(-A_rest * lam)
-        u_row = np.broadcast_to(f_part[row], (n_paths, g.n)).copy()
-        v_row = np.zeros(g.n)
-        for term in data.g.terms:
-            prof_prop = apply_multiplier(term.profile, mult)
-            c0 = term.functional.const
-            c1 = sum(cc for _, cc in term.functional.linear)
-            u_row += (c0 + c1 * w_cum[:, i])[:, None] * prof_prop[None, :]
-            v_row += c1 * prof_prop
-        u[:, row, :] = u_row
-        v[row] = v_row
+    u = np.broadcast_to(source_part, (n_paths, out_idx.size, g.n)).copy()
+    v = np.zeros((out_idx.size, g.n))
+    for term in data.g.terms:
+        prof_prop = fourier_part(term.profile, None)
+        c0 = term.functional.const
+        c1 = sum(cc for _, cc in term.functional.linear)
+        for row, i in enumerate(out_idx):  # row by row: no second (paths, times, n) array
+            u[:, row] += (c0 + c1 * w_cum[:, i])[:, None] * prof_prop[row]
+        v += c1 * prof_prop
 
     sol = SolutionField(
         grid=g,
         times=times[out_idx],
-        u=u,
-        v=v,
+        u=_finite(u, "linear_gaussian"),
+        v=_finite(v, "linear_gaussian"),
         meta={"solver": "linear_gaussian", "n_steps": n_steps, "n_paths": n_paths},
     )
     mart = MartingaleData(
@@ -770,8 +767,8 @@ def solve_bspde_regression(
         grid=g,
         times=times[out_idx],
         mode_indices=mode_indices,
-        u_hat=u_store,
-        v_hat=v_store,
+        u_hat=_finite(u_store, "regression"),
+        v_hat=_finite(v_store, "regression"),
         v_se=v_se_store,
         meta={
             "solver": "regression",

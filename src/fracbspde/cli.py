@@ -1,10 +1,13 @@
 """Unified command-line entry point.
 
 Subcommands: kernel, fraclap, levy, solve-pde, solve-bspde, zakai, control,
-verify-all.  Every run validates its configuration against a per-subcommand
-schema (unknown keys are rejected with the offending key path and exit code
-2), echoes the fully resolved configuration into its JSON artifacts, and is
-bit-reproducible for a fixed (config, seed).
+verify-all (the COMMANDS table).  Each subcommand's schema maps every config
+key to (type, default, flag); build_parser adds one option per flagged key,
+parsed as the key's type, so a setting is declared in one place.  Every run
+validates its configuration against that schema (unknown keys are rejected
+with the offending key path and exit code 2), echoes the fully resolved
+configuration into its JSON artifacts, and is bit-reproducible for a fixed
+(config, seed).
 
 Exit codes: 0 success, 1 check failure, 2 configuration error.
 """
@@ -69,7 +72,7 @@ def _is_number(value) -> bool:
 def _load_config(path: str | None, schema: dict, overrides: dict) -> dict:
     """Merge config-file values and CLI overrides against a schema.
 
-    schema maps key -> (type, default); unknown keys, wrong types, counts
+    schema maps key -> (type, default, flag); unknown keys, wrong types, counts
     below COUNT_MINIMUM, POSITIVE_KEYS <= 0 and a control set that is not a
     non-empty list of numbers are rejected with their path; None overrides
     are ignored.
@@ -90,7 +93,7 @@ def _load_config(path: str | None, schema: dict, overrides: dict) -> dict:
     for key, value in raw.items():
         if key not in schema:
             raise ConfigError(f"unknown config key {key!r}", key)
-        expected, _default = schema[key]
+        expected = schema[key][0]
         if expected is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
         # bool is an int subclass, and no key takes a bool
@@ -107,7 +110,7 @@ def _load_config(path: str | None, schema: dict, overrides: dict) -> dict:
         if key == "controls" and not (value and all(map(_is_number, value))):
             raise ConfigError(f"controls must be a non-empty list of numbers, got {value}", key)
         resolved[key] = value
-    for key, (_t, default) in schema.items():
+    for key, (_t, default, _flag) in schema.items():
         resolved.setdefault(key, default)
     return resolved
 
@@ -119,8 +122,9 @@ def _flags(args: argparse.Namespace, schema: dict) -> dict:
 
 def _grid_from_cfg(cfg: dict, pathwise: bool = False) -> Grid1D:
     default = GRID_DEFAULT_PATHWISE if pathwise else GRID_DEFAULT
+    schema = {k: (type(v), v, None) for k, v in default.items()}
     try:
-        g = _load_config(None, {k: (type(v), v) for k, v in default.items()}, cfg.get("grid") or {})
+        g = _load_config(None, schema, cfg.get("grid") or {})
     except ConfigError as exc:
         raise ConfigError(str(exc), f"grid.{exc.key_path}") from exc
     if g["n"] < 2 or g["n"] & (g["n"] - 1):
@@ -156,12 +160,12 @@ def _write_rows(path: str, header: list[str], rows) -> None:
 
 
 KERNEL_SCHEMA = {
-    "alpha": (float, 1.5),
-    "A": (float, 1.0),
-    "x_range": (float, 20.0),
-    "samples": (int, 401),
-    "output": (str, "kernel.csv"),
-    "report": ((str, type(None)), None),
+    "alpha": (float, 1.5, "--alpha"),
+    "A": (float, 1.0, "--A"),
+    "x_range": (float, 20.0, "--xrange"),
+    "samples": (int, 401, "--samples"),
+    "output": (str, "kernel.csv", "--output"),
+    "report": ((str, type(None)), None, "--report"),
 }
 
 
@@ -206,12 +210,12 @@ def cmd_kernel(cfg: dict) -> int:
 
 
 FRACLAP_SCHEMA = {
-    "alpha": (float, 1.5),
-    "method": (str, "spectral"),
-    "input": ((str, type(None)), None),
-    "output": (str, "fraclap.csv"),
-    "quadrature_points": (int, 64),
-    "inner_cutoff": (float, 2.0),
+    "alpha": (float, 1.5, "--alpha"),
+    "method": (str, "spectral", "--method"),
+    "input": ((str, type(None)), None, "--input"),
+    "output": (str, "fraclap.csv", "--output"),
+    "quadrature_points": (int, 64, "--quad-points"),
+    "inner_cutoff": (float, 2.0, "--inner-cutoff"),
 }
 
 
@@ -243,13 +247,13 @@ def cmd_fraclap(cfg: dict) -> int:
 
 
 LEVY_SCHEMA = {
-    "alpha": (float, 1.5),
-    "paths": (int, 4),
-    "steps": (int, 64),
-    "seed": (int, 0),
-    "horizon": (float, 1.0),
-    "output": ((str, type(None)), None),
-    "summary": ((str, type(None)), None),
+    "alpha": (float, 1.5, "--alpha"),
+    "paths": (int, 4, "--paths"),
+    "steps": (int, 64, "--steps"),
+    "seed": (int, 0, "--seed"),
+    "horizon": (float, 1.0, "--horizon"),
+    "output": ((str, type(None)), None, "--output"),
+    "summary": ((str, type(None)), None, "--summary"),
 }
 
 
@@ -289,19 +293,19 @@ def cmd_levy(cfg: dict) -> int:
 
 
 PDE_SCHEMA = {
-    "grid": (dict, None),
-    "alpha": (float, 1.5),
-    "T": (float, 1.0),
-    "a": (str, "const:1"),
-    "a_x": ((str, type(None)), None),
-    "b": ((str, type(None)), None),
-    "c": ((str, type(None)), None),
-    "f": ((str, type(None)), None),
-    "g": (str, "sin:1"),
-    "steps": (int, 128),
-    "output_times": (list, None),
-    "output": (str, "solution.csv"),
-    "report": ((str, type(None)), None),
+    "grid": (dict, None, None),
+    "alpha": (float, 1.5, None),
+    "T": (float, 1.0, None),
+    "a": (str, "const:1", None),
+    "a_x": ((str, type(None)), None, None),
+    "b": ((str, type(None)), None, None),
+    "c": ((str, type(None)), None, None),
+    "f": ((str, type(None)), None, None),
+    "g": (str, "sin:1", None),
+    "steps": (int, 128, "--steps"),
+    "output_times": (list, None, None),
+    "output": (str, "solution.csv", "--output"),
+    "report": ((str, type(None)), None, "--report"),
 }
 
 
@@ -354,21 +358,21 @@ def cmd_solve_pde(cfg: dict) -> int:
 
 
 BSPDE_SCHEMA = {
-    "grid": (dict, None),
-    "alpha": (float, 1.5),
-    "T": (float, 1.0),
-    "a": (str, "const:1"),
-    "sigma": (float, 0.0),
-    "f": ((str, type(None)), None),
-    "g_profile": (str, "sin:1"),
-    "g_c0": (float, 0.0),
-    "g_c1": (float, 1.0),
-    "paths": (int, 2000),
-    "steps": (int, 64),
-    "seed": (int, 0),
-    "probe": (list, None),
-    "output": (str, "bspde.csv"),
-    "report": ((str, type(None)), None),
+    "grid": (dict, None, None),
+    "alpha": (float, 1.5, None),
+    "T": (float, 1.0, None),
+    "a": (str, "const:1", None),
+    "sigma": (float, 0.0, None),
+    "f": ((str, type(None)), None, None),
+    "g_profile": (str, "sin:1", None),
+    "g_c0": (float, 0.0, None),
+    "g_c1": (float, 1.0, None),
+    "paths": (int, 2000, "--paths"),
+    "steps": (int, 64, "--steps"),
+    "seed": (int, 0, "--seed"),
+    "probe": (list, None, "--probe"),
+    "output": (str, "bspde.csv", "--output"),
+    "report": ((str, type(None)), None, "--report"),
 }
 
 
@@ -426,31 +430,34 @@ def cmd_solve_bspde(cfg: dict) -> int:
     return 0
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
-
-
 # --- zakai ------------------------------------------------------------------------
 
 
 ZAKAI_SCHEMA = {
-    "grid": (dict, None),
-    "alpha": (float, 1.5),
-    "T": (float, 0.5),
-    "mu": (str, "const:1"),
-    "k": ((str, type(None)), None),
-    "h": ((str, type(None)), None),
-    "p0_width": (float, 1.0),
-    "steps": (int, 64),
-    "seed": (int, 0),
-    "output": (str, "zakai.csv"),
-    "report": ((str, type(None)), None),
+    "grid": (dict, None, None),
+    "alpha": (float, 1.5, None),
+    "T": (float, 0.5, None),
+    "mu": (str, "const:1", None),
+    "k": ((str, type(None)), None, None),
+    "h": ((str, type(None)), None, None),
+    "p0_width": (float, 1.0, None),
+    "steps": (int, 64, "--steps"),
+    "seed": (int, 0, "--seed"),
+    "output": (str, "zakai.csv", "--output"),
+    "report": ((str, type(None)), None, "--report"),
 }
 
 
-def _unit_gaussian_density(grid: Grid1D, width: float) -> np.ndarray:
+def _unit_gaussian_density(grid: Grid1D, width: float, key: str) -> np.ndarray:
+    """Centred Gaussian of the given width with unit mass on the grid; a
+    ConfigError naming key when it underflows to zero there."""
     p = np.exp(-grid.x**2 / (2 * width**2))
-    return p / (p.sum() * grid.dx)
+    mass = p.sum() * grid.dx
+    if not mass > 0:
+        raise ConfigError(
+            f"a Gaussian of width {width} vanishes on [{grid.x_min}, {grid.x_max}]", key
+        )
+    return p / mass
 
 
 def cmd_zakai(cfg: dict) -> int:
@@ -469,7 +476,7 @@ def cmd_zakai(cfg: dict) -> int:
         f=lambda t, v: zeros,
         g=zeros,
         U=(0.0,),
-        p0=_unit_gaussian_density(grid, cfg["p0_width"]),
+        p0=_unit_gaussian_density(grid, cfg["p0_width"], "p0_width"),
     )
     y_inc = simulate_brownian_increments(
         PathGrid(0.0, cfg["T"], cfg["steps"]), RngStream(cfg["seed"]), 1
@@ -498,18 +505,18 @@ def cmd_zakai(cfg: dict) -> int:
 
 
 CONTROL_SCHEMA = {
-    "grid": (dict, None),
-    "alpha": (float, 1.5),
-    "T": (float, 0.5),
-    "target": (float, 1.0),
-    "h_scale": (float, 0.4),
-    "cost_clip": (float, 25.0),
-    "controls": (list, [-0.5, 0.0, 0.5]),
-    "intervals": (int, 2),
-    "paths": (int, 2000),
-    "steps": (int, 24),
-    "seed": (int, 0),
-    "output": (str, "control.json"),
+    "grid": (dict, None, None),
+    "alpha": (float, 1.5, None),
+    "T": (float, 0.5, None),
+    "target": (float, 1.0, None),
+    "h_scale": (float, 0.4, None),
+    "cost_clip": (float, 25.0, None),
+    "controls": (list, [-0.5, 0.0, 0.5], None),
+    "intervals": (int, 2, "--intervals"),
+    "paths": (int, 2000, "--paths"),
+    "steps": (int, 24, "--steps"),
+    "seed": (int, 0, "--seed"),
+    "output": (str, "control.json", "--output"),
 }
 
 
@@ -532,7 +539,7 @@ def cmd_control(cfg: dict) -> int:
         f=lambda t, v: 0.5 * weight,
         g=weight,
         U=tuple(float(v) for v in cfg["controls"]),
-        p0=_unit_gaussian_density(grid, 1.0),
+        p0=_unit_gaussian_density(grid, 1.0, "grid"),
     )
     y_inc = simulate_brownian_increments(
         PathGrid(0.0, cfg["T"], cfg["steps"]), RngStream(cfg["seed"]), cfg["paths"]
@@ -572,11 +579,11 @@ def cmd_control(cfg: dict) -> int:
 
 
 VERIFY_SCHEMA = {
-    "tier": (str, "quick"),
-    "seed": (int, 0),
-    "checks": (list, None),
-    "report": (str, "report.json"),
-    "timing": (str, "timing.json"),
+    "tier": (str, "quick", "--tier"),
+    "seed": (int, 0, "--seed"),
+    "checks": (list, None, "--checks"),
+    "report": (str, "report.json", "--report"),
+    "timing": (str, "timing.json", "--timing"),
 }
 
 
@@ -617,7 +624,7 @@ def run_verification(
     Wall-clock timings live in a separate structure so the canonical report
     stays byte-identical across reruns with the same (config, seed).
     """
-    if tier not in ("quick", "full", "custom"):
+    if tier not in ("quick", "full"):
         raise ConfigError(f"tier must be quick or full, got {tier!r}", "tier")
     if ids is not None:
         tier_label = "custom"
@@ -653,7 +660,38 @@ def cmd_verify_all(cfg: dict) -> int:
 # --- parser ---------------------------------------------------------------------------------
 
 
+COMMANDS = (
+    ("kernel", cmd_kernel, KERNEL_SCHEMA, "tabulate the fractional heat kernel"),
+    ("fraclap", cmd_fraclap, FRACLAP_SCHEMA, "apply the fractional Laplacian to a CSV field"),
+    ("levy", cmd_levy, LEVY_SCHEMA, "simulate alpha-stable paths"),
+    ("solve-pde", cmd_solve_pde, PDE_SCHEMA, "solve the deterministic backward equation"),
+    (
+        "solve-bspde",
+        cmd_solve_bspde,
+        BSPDE_SCHEMA,
+        "solve the backward SPDE (closed form + regression)",
+    ),
+    ("zakai", cmd_zakai, ZAKAI_SCHEMA, "filter one observation path, emit a density movie"),
+    ("control", cmd_control, CONTROL_SCHEMA, "brute-force policy search + optimality margins"),
+    ("verify-all", cmd_verify_all, VERIFY_SCHEMA, "run the acceptance checks"),
+)
+
+# how the two list keys parse their flags; every other flag is one value of its key's type
+LIST_FLAGS = {
+    "probe": {
+        "action": "append",
+        "type": lambda text: [float(v) for v in text.split(",")],
+        "help": "t,x probe (repeatable)",
+    },
+    "checks": {
+        "type": lambda text: text.split(","),
+        "help": "comma-separated check ids (overrides the tier)",
+    },
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per COMMANDS row: --config plus one option per flagged schema key."""
     parser = argparse.ArgumentParser(
         prog="fracbspde",
         description="Fractional heat kernels, stable-process simulation, "
@@ -661,82 +699,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, schema, help):
-        # every option dest other than config is a key of schema (see _flags)
+    for name, handler, schema, help in COMMANDS:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config")
         p.set_defaults(handler=handler, schema=schema)
-        return p
-
-    p = command("kernel", cmd_kernel, KERNEL_SCHEMA, "tabulate the fractional heat kernel")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--A", type=float)
-    p.add_argument("--xrange", dest="x_range", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--output")
-    p.add_argument("--report", help="JSON bound report (tail mass + empirical decay constants)")
-
-    p = command(
-        "fraclap", cmd_fraclap, FRACLAP_SCHEMA, "apply the fractional Laplacian to a CSV field"
-    )
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--method", choices=["spectral", "integral"])
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--quad-points", dest="quadrature_points", type=int)
-    p.add_argument("--inner-cutoff", dest="inner_cutoff", type=float)
-
-    p = command("levy", cmd_levy, LEVY_SCHEMA, "simulate alpha-stable paths")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--paths", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--output")
-    p.add_argument("--summary")
-
-    p = command("solve-pde", cmd_solve_pde, PDE_SCHEMA, "solve the deterministic backward equation")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--output")
-    p.add_argument("--report")
-
-    bspde_help = "solve the backward SPDE (closed form + regression)"
-    p = command("solve-bspde", cmd_solve_bspde, BSPDE_SCHEMA, bspde_help)
-    p.add_argument("--paths", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--probe", action="append", type=_floats, help="t,x probe (repeatable)")
-    p.add_argument("--output")
-    p.add_argument("--report")
-
-    p = command(
-        "zakai", cmd_zakai, ZAKAI_SCHEMA, "filter one observation path, emit a density movie"
-    )
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output")
-    p.add_argument("--report")
-
-    p = command(
-        "control", cmd_control, CONTROL_SCHEMA, "brute-force policy search + optimality margins"
-    )
-    p.add_argument("--paths", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--intervals", type=int)
-    p.add_argument("--output")
-
-    p = command("verify-all", cmd_verify_all, VERIFY_SCHEMA, "run the acceptance checks")
-    p.add_argument("--tier", choices=["quick", "full"])
-    p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--checks",
-        type=lambda text: text.split(","),
-        help="comma-separated check ids (overrides the tier)",
-    )
-    p.add_argument("--report")
-    p.add_argument("--timing")
+        for key, (kind, _default, flag) in schema.items():
+            if flag is not None:
+                # string keys keep argparse's default, which passes the text through
+                opts = LIST_FLAGS.get(key, {"type": kind if kind in (int, float) else None})
+                p.add_argument(flag, dest=key, **opts)
     return parser
 
 

@@ -90,8 +90,8 @@ class ControlProblem:
         check_alpha(self.alpha)
         self.g = np.asarray(self.g, dtype=float)
         self.p0 = np.asarray(self.p0, dtype=float)
-        if self.p0.min() < 0:
-            raise PositivityViolation("initial density must be nonnegative")
+        if not (np.all(np.isfinite(self.p0)) and self.p0.min() >= 0):
+            raise PositivityViolation("initial density must be finite and nonnegative")
         mass = float(np.sum(self.p0) * self.grid.dx)
         if abs(mass - 1.0) > 1e-8:
             raise PositivityViolation(

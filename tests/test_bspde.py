@@ -17,7 +17,13 @@ from fracbspde.bspde import (
     space_process_norm,
     verify_holder_estimate,
 )
-from fracbspde.errors import IllConditioned, OffGridTime, StabilityError, UnsupportedSpec
+from fracbspde.errors import (
+    BlowUp,
+    IllConditioned,
+    OffGridTime,
+    StabilityError,
+    UnsupportedSpec,
+)
 from fracbspde.grid import Grid1D
 from fracbspde.kernel import CoefficientA, eval_A
 from fracbspde.levy import RngStream
@@ -185,6 +191,28 @@ def test_pde_solver_stability_guard():
         solve_pde_variable_coeff(data, n_steps=4)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        solve_fourier_deterministic,
+        solve_kernel_deterministic,
+        solve_pde_variable_coeff,
+        lambda data, n_steps: solve_bspde_linear_gaussian(
+            make_data(g=affine_terminal(np.sin(XI1 * GRID.x), 0.0, 1.0, 1.0), f=data.f),
+            n_paths=8, rng=RngStream(0), n_steps=n_steps,
+        ),
+        lambda data, n_steps: solve_bspde_regression(
+            data, n_paths=8, rng=RngStream(0), n_steps=n_steps
+        ),
+    ],
+)
+def test_non_finite_solution_raises(solve):
+    # the transform of a source near the largest double overflows
+    data = make_data(g=np.sin(XI1 * GRID.x), f=lambda t: np.full(GRID.n, 1e308))
+    with np.errstate(all="ignore"), pytest.raises(BlowUp, match="not finite"):
+        solve(data, n_steps=8)
+
+
 def affine_terminal(profile, c0, c1, T):
     return RandomFieldSpec(
         terms=(RandomTerm(profile, PathFunctional.affine_in_w(T, c0, c1)),)
@@ -309,6 +337,42 @@ def test_regression_matches_linear_gaussian_closed_form():
             arr = np.asarray(diffs)
             se = arr.std(ddof=1) / np.sqrt(n_reps)
             assert abs(arr.mean()) <= 3 * se + extra_bias, (t, arr.mean(), se)
+
+
+def test_regression_random_source_matches_closed_form():
+    # f = phi(x) W_t with g = 0, sigma = 0: u(t) = W_t U(t) and v(t) = U(t), where
+    # U solves the deterministic equation with source phi and zero terminal value
+    T, n_paths, n_steps, n_reps = 1.0, 1000, 32, 8
+    prof = np.sin(XI1 * GRID.x)
+    data = make_data(g=np.zeros(GRID.n), f=affine_terminal(prof, 0.0, 1.0, T))
+    t, i, x_idx = 0.5, n_steps // 2, GRID.n // 4  # |phi| = 1 at x_idx
+    U = solve_fourier_deterministic(make_data(g=np.zeros(GRID.n), f=lambda s: prof), n_steps)
+    U_t = U.u_at(t)[x_idx]
+    # per mode the explicit scheme gives u_i = W_i V_i and v_i = V_{i+1}, with
+    # V_N = 0 and V_j = (1 - lam dt) V_{j+1} + dt; the exact V is (1 - e^{-lam (T - t)}) / lam
+    lam1, dt = XI1**1.5, T / n_steps
+    V = np.zeros(n_steps + 1)
+    for j in range(n_steps - 1, -1, -1):
+        V[j] = (1.0 - lam1 * dt) * V[j + 1] + dt
+    exact = (1.0 - np.exp(-lam1 * (T - t))) / lam1
+    bias_u, bias_v = abs(V[i] - exact), abs(V[i + 1] - exact)
+    # the zero-profile terminal spec makes the closed-form solver report the paths
+    w_spec = make_data(g=affine_terminal(np.zeros(GRID.n), 0.0, 1.0, T))
+    slopes, v_means = [], []
+    for rep in range(n_reps):
+        stream = RngStream(29, rep)
+        _, mart = solve_bspde_linear_gaussian(
+            w_spec, n_paths=n_paths, rng=stream, n_steps=n_steps, output_times=[t]
+        )
+        w_t = mart.w_at_times[:, 0]
+        reg = solve_bspde_regression(data, n_paths=n_paths, rng=stream, n_steps=n_steps)
+        # the coefficient of W_t in u(t) at x, and the path mean of v(t)
+        slopes.append(np.mean(reg.u_values(t)[:, x_idx] * w_t) / np.mean(w_t**2))
+        v_means.append(np.mean(reg.v_values(t)[:, x_idx]))
+    for values, bias in ((slopes, bias_u), (v_means, bias_v)):
+        arr = np.asarray(values) - U_t
+        se = arr.std(ddof=1) / np.sqrt(n_reps)
+        assert abs(arr.mean()) <= 3 * se + bias, (arr.mean(), se, bias)
 
 
 def test_regression_deterministic_v_below_noise_floor():

@@ -316,6 +316,11 @@ def test_solve_bspde_off_grid_probe_exit_2(tmp_path, capsys):
         (("control", {"T": 0}), "T"),
         (("control", {"controls": []}), "controls"),
         (("control", {"controls": ["a"]}), "controls"),
+        # the initial Gaussian underflows to zero on a grid far from the origin
+        ({"grid": {"n": 32, "x_min": 15.0, "x_max": 20.0}, "p0_width": 0.3}, "p0_width"),
+        (("control", {"grid": {"n": 32, "x_min": 45.0, "x_max": 60.0}}), "grid"),
+        # --method takes no argparse choices; the subcommand rejects a bad one
+        (["fraclap", "--method", "bogus"], "method"),
     ],
 )
 def test_config_type_and_grid_errors_exit_2(tmp_path, capsys, cfg, key):
@@ -334,15 +339,131 @@ def test_config_type_and_grid_errors_exit_2(tmp_path, capsys, cfg, key):
     assert not out.exists()
 
 
-def test_every_flag_sets_its_config_key():
+def _subparsers() -> dict:
     parser = build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for name, sub in commands.choices.items():
+    return commands.choices
+
+
+def test_every_flag_sets_its_config_key():
+    for name, sub in _subparsers().items():
         dests = {a.dest for a in sub._actions} - {"help", "config"}
         assert dests <= set(sub.get_default("schema")), name
-    args = parser.parse_args(["verify-all", "--checks", "kernel-mass,gaussian-reduction"])
+
+
+# every flag of every subcommand besides --config: spelling -> (dest, value type)
+_FLAGS = {
+    "kernel": {
+        "--alpha": ("alpha", float),
+        "--A": ("A", float),
+        "--xrange": ("x_range", float),
+        "--samples": ("samples", int),
+        "--output": ("output", None),
+        "--report": ("report", None),
+    },
+    "fraclap": {
+        "--alpha": ("alpha", float),
+        "--method": ("method", None),
+        "--input": ("input", None),
+        "--output": ("output", None),
+        "--quad-points": ("quadrature_points", int),
+        "--inner-cutoff": ("inner_cutoff", float),
+    },
+    "levy": {
+        "--alpha": ("alpha", float),
+        "--paths": ("paths", int),
+        "--steps": ("steps", int),
+        "--seed": ("seed", int),
+        "--horizon": ("horizon", float),
+        "--output": ("output", None),
+        "--summary": ("summary", None),
+    },
+    "solve-pde": {
+        "--steps": ("steps", int),
+        "--output": ("output", None),
+        "--report": ("report", None),
+    },
+    "solve-bspde": {
+        "--paths": ("paths", int),
+        "--steps": ("steps", int),
+        "--seed": ("seed", int),
+        "--probe": ("probe", list),
+        "--output": ("output", None),
+        "--report": ("report", None),
+    },
+    "zakai": {
+        "--steps": ("steps", int),
+        "--seed": ("seed", int),
+        "--output": ("output", None),
+        "--report": ("report", None),
+    },
+    "control": {
+        "--paths": ("paths", int),
+        "--steps": ("steps", int),
+        "--seed": ("seed", int),
+        "--intervals": ("intervals", int),
+        "--output": ("output", None),
+    },
+    "verify-all": {
+        "--tier": ("tier", None),
+        "--seed": ("seed", int),
+        "--checks": ("checks", list),
+        "--report": ("report", None),
+        "--timing": ("timing", None),
+    },
+}
+
+
+def test_flag_spellings_and_dests():
+    subs = _subparsers()
+    assert set(subs) == set(_FLAGS)
+    for name, sub in subs.items():
+        flags = {
+            opt: (a.dest, a.type)
+            for a in sub._actions
+            for opt in a.option_strings
+            if a.dest not in ("help", "config")
+        }
+        assert set(flags) == set(_FLAGS[name]), name
+        for opt, (dest, kind) in _FLAGS[name].items():
+            # the list flags are pinned by how they parse, below
+            assert flags[opt][0] == dest and (kind is list or flags[opt][1] is kind), (name, opt)
+    args = build_parser().parse_args(["solve-bspde", "--probe", "0.5,1", "--probe", "1,-2.5"])
+    assert args.probe == [[0.5, 1.0], [1.0, -2.5]]
+    args = build_parser().parse_args(["verify-all", "--checks", "kernel-mass,gaussian-reduction"])
     cfg = _load_config(args.config, args.schema, _flags(args, args.schema))
     assert cfg["checks"] == ["kernel-mass", "gaussian-reduction"]
+
+
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_verify_all_rejects_custom_tier(tmp_path, capsys, monkeypatch, how):
+    # custom labels a --checks run; as a tier it used to run every check
+    monkeypatch.setattr("fracbspde.cli.run_checks", lambda **kw: pytest.fail("checks ran"))
+    cfg = tmp_path / "v.json"
+    cfg.write_text('{"tier": "custom"}')
+    report = tmp_path / "r.json"
+    argv = ["verify-all", "--report", str(report), "--timing", str(tmp_path / "t.json")]
+    argv += ["--config", str(cfg)] if how == "config" else ["--tier", "custom"]
+    assert _config_error(capsys, argv) == "tier"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("solve-pde", {"f": "const:1e308"}),
+        ("solve-pde", {"c": "const:1000"}),
+        ("solve-bspde", {"f": "const:1e308", "paths": 50}),
+    ],
+)
+def test_non_finite_solution_exits_1(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "not finite" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_csv_preset_errors_exit_2(tmp_path, capsys):

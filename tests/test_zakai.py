@@ -175,6 +175,9 @@ def test_problem_validation():
     bad = -gaussian_density(GRID)
     with pytest.raises(PositivityViolation):
         make_problem(p0=bad)
+    # NaN passes both the sign and the mass comparison
+    with pytest.raises(PositivityViolation):
+        make_problem(p0=np.full(GRID.n, np.nan))
 
 
 def test_cost_trivial_mass():
