@@ -102,10 +102,6 @@ class PathFunctional:
         return out + self.const
 
     @classmethod
-    def constant(cls, c: float) -> "PathFunctional":
-        return cls(const=c)
-
-    @classmethod
     def affine_in_w(cls, tau: float, c0: float, c1: float) -> "PathFunctional":
         return cls(const=c0, linear=((tau, c1),))
 
@@ -168,7 +164,6 @@ class BSPDEData:
     a_xt: FieldFn | None = None
     b: FieldFn | None = None
     c: FieldFn | None = None
-    beta: float | None = None
 
     def __post_init__(self):
         check_alpha(self.alpha)
@@ -181,10 +176,6 @@ class BSPDEData:
         if isinstance(self.g, np.ndarray) and self.g.shape != (self.grid.n,):
             raise GridMismatch(
                 f"terminal array shape {self.g.shape} does not match n={self.grid.n}"
-            )
-        if self.beta is not None and not 2.0 - self.alpha < self.beta < 1.0:
-            raise InvalidExponent(
-                f"beta={self.beta} outside (2 - alpha, 1) = ({2.0 - self.alpha}, 1)"
             )
 
     def sigma_at(self, t) -> float:
@@ -217,10 +208,6 @@ class SolutionField:
     u: np.ndarray
     v: np.ndarray | None
     meta: dict = field(default_factory=dict)
-
-    @property
-    def pathwise(self) -> bool:
-        return self.u.ndim == 3
 
     def u_at(self, t: float) -> np.ndarray:
         return self.u[..., time_indices(self.times, [t])[0], :]
@@ -307,16 +294,14 @@ def _cumulative_A(a: CoefficientA, times: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _finite(u: np.ndarray, solver: str) -> np.ndarray:
+def _finite(u: np.ndarray) -> np.ndarray:
     """u itself; BlowUp when any of its values is not finite."""
     if not np.all(np.isfinite(u)):
-        raise BlowUp(f"{solver} solution is not finite: the data or coefficients overflow")
+        raise BlowUp("solution is not finite: the data or coefficients overflow")
     return u
 
 
-def _f_values(f: FieldFn | None, times: np.ndarray, n: int) -> np.ndarray:
-    if f is None:
-        return np.zeros((times.size, n))
+def _f_values(f: FieldFn, times: np.ndarray) -> np.ndarray:
     return np.stack([np.asarray(f(t), dtype=float) for t in times])
 
 
@@ -341,15 +326,16 @@ def solve_fourier_deterministic(
     acc = _cumulative_A(data.a, times)
 
     g_hat = np.fft.fft(data.deterministic_g())
-    fvals = _f_values(data.deterministic_f(), times, g.n)
-    f_hat = np.fft.fft(fvals, axis=1)
+    f_fn = data.deterministic_f()
+    if f_fn is not None:
+        f_hat = np.fft.fft(_f_values(f_fn, times), axis=1)
 
-    out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
+    out_idx = time_indices(times, output_times)
     u = np.empty((out_idx.size, g.n))
     for row, i in enumerate(out_idx):
         m = n_steps - i
         u_hat = np.exp(-(acc[-1] - acc[i]) * lam) * g_hat
-        if m > 0 and data.f is not None:
+        if m > 0 and f_fn is not None:
             w = _tail_weights(m) * dt
             mults = np.exp(-(acc[i:] - acc[i])[:, None] * lam[None, :])
             u_hat = u_hat + np.sum(w[:, None] * mults * f_hat[i:], axis=0)
@@ -357,7 +343,7 @@ def solve_fourier_deterministic(
     return SolutionField(
         grid=g,
         times=times[out_idx],
-        u=_finite(u, "fourier_deterministic"),
+        u=_finite(u),
         v=None,
         meta={"solver": "fourier_deterministic", "n_steps": n_steps},
     )
@@ -380,19 +366,21 @@ def solve_kernel_deterministic(
     acc = _cumulative_A(data.a, times)
 
     g_field = data.deterministic_g()
-    fvals = _f_values(data.deterministic_f(), times, g.n)
+    f_fn = data.deterministic_f()
+    if f_fn is not None:
+        fvals = _f_values(f_fn, times)
 
     def propagate(field_vals: np.ndarray, A: float) -> np.ndarray:
         if A == 0.0:
             return field_vals.copy()
         return apply_multiplier(field_vals, np.exp(-A * lam))
 
-    out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
+    out_idx = time_indices(times, output_times)
     u = np.empty((out_idx.size, g.n))
     for row, i in enumerate(out_idx):
         m = n_steps - i
         val = propagate(g_field, acc[-1] - acc[i])
-        if m > 0 and data.f is not None:
+        if m > 0 and f_fn is not None:
             w = _tail_weights(m) * dt
             for j in range(i, n_steps + 1):
                 if w[j - i] != 0.0:
@@ -401,7 +389,7 @@ def solve_kernel_deterministic(
     return SolutionField(
         grid=g,
         times=times[out_idx],
-        u=_finite(u, "kernel_deterministic"),
+        u=_finite(u),
         v=None,
         meta={"solver": "kernel_deterministic", "n_steps": n_steps},
     )
@@ -497,12 +485,12 @@ def solve_pde_variable_coeff(
         u_hat = mult * u_hat + w_load * np.fft.fft(expl)
         store[i] = np.real(np.fft.ifft(u_hat))
 
-    out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
+    out_idx = time_indices(times, output_times)
     u = np.stack([store[i] for i in out_idx])
     return SolutionField(
         grid=g,
         times=times[out_idx],
-        u=_finite(u, "pde_variable_coeff"),
+        u=_finite(u),
         v=None,
         meta={"solver": "pde_variable_coeff", "n_steps": n_steps},
     )
@@ -550,7 +538,7 @@ def solve_bspde_linear_gaussian(
     g = data.grid
     times = np.linspace(0.0, data.T, n_steps + 1)
     dt = data.T / n_steps
-    out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
+    out_idx = time_indices(times, output_times)
 
     def fourier_part(terminal: np.ndarray, f: FieldFn | None) -> np.ndarray:
         part = BSPDEData(grid=g, alpha=data.alpha, T=data.T, a=data.a, g=terminal, f=f)
@@ -575,8 +563,8 @@ def solve_bspde_linear_gaussian(
     sol = SolutionField(
         grid=g,
         times=times[out_idx],
-        u=_finite(u, "linear_gaussian"),
-        v=_finite(v, "linear_gaussian"),
+        u=_finite(u),
+        v=_finite(v),
         meta={"solver": "linear_gaussian", "n_steps": n_steps, "n_paths": n_paths},
     )
     mart = MartingaleData(
@@ -596,7 +584,7 @@ class RegressionSolution:
     grid: Grid1D
     times: np.ndarray
     mode_indices: np.ndarray
-    u_hat: np.ndarray  # (paths, times, modes) complex, continuum-normalized
+    u_hat: np.ndarray  # (paths, times, modes) complex raw-FFT coefficients
     v_hat: np.ndarray
     v_se: np.ndarray  # (times, modes) fitted-value standard error per mode
     meta: dict = field(default_factory=dict)
@@ -758,7 +746,7 @@ def solve_bspde_regression(
         f_hat = field_hat_at(data.f, i + 1) if data.f is not None else 0.0
         return -a_i * lam[None, :] * u + f_hat
 
-    out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
+    out_idx = time_indices(times, output_times)
     u_store, v_store, v_se_store, max_cond = regress_backward(
         w_inc, field_hat_at(data.g, n_steps), drift, lambda i: data.sigma_at(times[i]),
         coarse_steps, out_idx, dt, cond_threshold,
@@ -767,8 +755,8 @@ def solve_bspde_regression(
         grid=g,
         times=times[out_idx],
         mode_indices=mode_indices,
-        u_hat=_finite(u_store, "regression"),
-        v_hat=_finite(v_store, "regression"),
+        u_hat=_finite(u_store),
+        v_hat=_finite(v_store),
         v_se=v_se_store,
         meta={
             "solver": "regression",
@@ -888,7 +876,7 @@ def verify_holder_estimate(
 
     if data.f is not None:
         f_dt = data.deterministic_f()
-        fvals = _f_values(f_dt, out_times, g.n)[None, :, :]
+        fvals = _f_values(f_dt, out_times)[None, :, :]
         rhs += space_process_norm(fvals, g, dt_out, beta, kind="l2")
     return HolderRatio(lhs=float(lhs), rhs=float(rhs))
 

@@ -626,6 +626,8 @@ def run_verification(
     """
     if tier not in ("quick", "full"):
         raise ConfigError(f"tier must be quick or full, got {tier!r}", "tier")
+    if seed < 0:  # the checks seed numpy generators, which take no negative seed
+        raise ConfigError(f"seed must be >= 0, got {seed}", "seed")
     if ids is not None:
         tier_label = "custom"
         known = set(check_ids("full"))

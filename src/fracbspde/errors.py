@@ -6,11 +6,7 @@ class FracBspdeError(Exception):
 
 
 class InvalidExponent(FracBspdeError):
-    """Exponent outside its admissible range (Holder beta, Sobolev gamma)."""
-
-
-class SymmetryViolation(FracBspdeError):
-    """Spectral coefficients are not conjugate-symmetric enough to be real."""
+    """Exponent outside its admissible range (Holder beta, norm order)."""
 
 
 class EmptyEnsemble(FracBspdeError):

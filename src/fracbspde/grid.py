@@ -1,62 +1,41 @@
-"""Periodic spatial grid, discrete Fourier transform, and norm estimators.
-
-The continuum transform convention used throughout is
-
-    F(f)(xi)  = int f(x) exp(+i xi x) dx,
-    F^-1(c)(x) = (1/2pi) int c(xi) exp(-i xi x) dxi,
-
-so discrete coefficients carry a dx weighting and approximate the continuum
-Fourier integral of the field on the truncated domain.
+"""Periodic spatial grid, Fourier multipliers, and norm estimators.
 
 Fourier multipliers are arrays in FFT ordering (that of `Grid1D.xi`: modes
-k = 0..n/2-1, then -n/2..-1, xi_k = 2 pi k / L), applied by
-`apply_multiplier`, the one forward -> multiply -> inverse round trip.  The
-raw FFT expands in exp(+i xi_k x), so d/dx is the multiplier +i xi_k; for odd
-derivative orders the unpaired Nyquist mode -n/2 is zeroed, keeping
-derivatives of real fields real and the first derivative exactly skew.  The
-2/3 dealiasing rule (|k| <= n/3 kept) applies only to the flux k p of the
-Zakai filter's transport step.  `time_indices` maps times to the nodes of a
-time grid and raises `OffGridTime` rather than snapping to the nearest node.
+k = 0..n/2-1, then -n/2..-1, xi_k = 2 pi k / L).  They act on raw-FFT
+coefficients (no dx weighting, no x_min phase) through `apply_multiplier`,
+the one forward -> multiply -> inverse round trip.  The raw FFT expands in
+exp(+i xi_k x), so d/dx is the multiplier +i xi_k; for odd derivative
+orders the unpaired Nyquist mode -n/2 is zeroed, keeping derivatives of
+real fields real and the first derivative exactly skew.  The 2/3
+dealiasing rule (|k| <= n/3 kept) applies only to the flux k p of the Zakai
+filter's transport step.  `time_indices` maps times to the nodes of a time
+grid (all of them for None) and raises `OffGridTime` rather than snapping to
+the nearest node.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyEnsemble,
-    GridMismatch,
-    InvalidExponent,
-    MalformedInput,
-    OffGridTime,
-    SymmetryViolation,
-)
+from .errors import EmptyEnsemble, GridMismatch, InvalidExponent, MalformedInput, OffGridTime
 
 __all__ = [
     "Grid1D",
     "GridFunction",
-    "SpectralCoeffs",
     "NormReport",
-    "dft",
-    "idft",
     "apply_multiplier",
     "derivative_multiplier",
-    "spectral_derivative",
     "time_indices",
     "holder_seminorm",
-    "sobolev_norm",
-    "l2_norm",
     "ensemble_process_norms",
     "pair_offsets",
     "write_field_csv",
     "read_field_csv",
-    "grid_header",
 ]
 
 # Above this size the Holder pair search restricts to dyadic offsets.
@@ -95,12 +74,6 @@ class Grid1D:
         """Angular frequencies 2*pi*k/L in FFT ordering, k = 0..n/2-1, -n/2..-1."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
-    def mode_index(self, k: int) -> int:
-        """FFT array index of signed mode k."""
-        if not -self.n // 2 <= k < self.n // 2:
-            raise ValueError(f"mode {k} outside [-n/2, n/2)")
-        return k % self.n
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -123,80 +96,14 @@ class GridFunction:
     def from_callable(cls, grid: Grid1D, fn: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
         return cls(grid, np.asarray(fn(grid.x), dtype=float))
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        _same_grid(self.grid, other.grid)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        _same_grid(self.grid, other.grid)
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class SpectralCoeffs:
-    """Complex Fourier coefficients in FFT ordering (continuum normalization)."""
-
-    grid: Grid1D
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.grid.n,):
-            raise GridMismatch(
-                f"coeffs shape {c.shape} does not match grid n={self.grid.n}"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-    def mode(self, k: int) -> complex:
-        return self.coeffs[self.grid.mode_index(k)]
-
 
 @dataclass(frozen=True)
 class NormReport:
-    """Sup norm, Holder seminorm at exponent beta, Sobolev norm at gamma."""
+    """Sup norm and Holder seminorm at exponent beta."""
 
     sup_norm: float
     holder_seminorm: float
     beta: float
-    sobolev_norm: float | None = None
-    gamma: float | None = None
-
-    @property
-    def holder_norm(self) -> float:
-        return self.sup_norm + self.holder_seminorm
-
-
-def _same_grid(g1: Grid1D, g2: Grid1D) -> None:
-    if g1 != g2:
-        raise GridMismatch(f"grids differ: {g1} vs {g2}")
-
-
-def dft(f: GridFunction) -> SpectralCoeffs:
-    """Forward transform with dx weighting: c_k = dx * sum_j f_j exp(+i xi_k x_j)."""
-    g = f.grid
-    # sum_j f_j exp(+2pi i jk/n) == n * ifft(f); the x_min offset enters as a phase
-    raw = g.n * np.fft.ifft(f.values)
-    return SpectralCoeffs(g, g.dx * raw * np.exp(1j * g.xi * g.x_min))
-
-
-def idft(c: SpectralCoeffs) -> GridFunction:
-    """Inverse transform; raises SymmetryViolation if the result is not real."""
-    imag_tol = 1e-10
-    g = c.grid
-    shifted = c.coeffs * np.exp(-1j * g.xi * g.x_min)
-    vals = np.fft.fft(shifted) / g.length
-    scale = max(1.0, float(np.max(np.abs(vals.real))))
-    resid = float(np.max(np.abs(vals.imag)))
-    if resid > imag_tol * scale:
-        raise SymmetryViolation(
-            f"imaginary residue {resid:.3e} exceeds {imag_tol:.1e} * {scale:.3e}"
-        )
-    return GridFunction(g, vals.real)
 
 
 def apply_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -217,33 +124,22 @@ def derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
     return mult
 
 
-def spectral_derivative(f: GridFunction, order: int = 1) -> GridFunction:
-    """k-th spatial derivative via the Fourier multiplier (i xi)^k."""
-    if order < 0:
-        raise InvalidExponent(f"derivative order must be >= 0, got {order}")
-    if order == 0:
-        return f
-    return GridFunction(f.grid, apply_multiplier(f.values, derivative_multiplier(f.grid, order)))
-
-
-def time_indices(times: np.ndarray, ts: Sequence[float]) -> np.ndarray:
+def time_indices(times: np.ndarray, ts: Sequence[float] | None) -> np.ndarray:
     """Sorted distinct indices of the nodes of the time grid times at ts.
 
-    A time t matches a node within 1e-9 max(1, |t|); any other time raises
-    OffGridTime instead of snapping to the nearest node.
+    ts = None selects every node.  A time t matches a node within
+    1e-9 max(1, |t|); any other time raises OffGridTime instead of snapping
+    to the nearest node.
     """
     times = np.asarray(times, dtype=float)
+    if ts is None:
+        return np.arange(times.size)
     ts = np.asarray(ts, dtype=float).reshape(-1)
     idx = np.argmin(np.abs(times[:, None] - ts[None, :]), axis=0)
     off = ts[~(np.abs(times[idx] - ts) <= 1e-9 * np.maximum(1.0, np.abs(ts)))]
     if off.size:
         raise OffGridTime(f"time {off[0]} is not a node of the time grid {times[0]}..{times[-1]}")
     return np.unique(idx)
-
-
-def l2_norm(f: GridFunction) -> float:
-    """Discrete L2 norm (sum f^2 dx)^(1/2)."""
-    return float(np.sqrt(np.sum(f.values**2) * f.grid.dx))
 
 
 def pair_offsets(n: int, exact_limit: int = EXACT_PAIR_LIMIT) -> np.ndarray:
@@ -279,19 +175,6 @@ def holder_seminorm(f: GridFunction, beta: float) -> float:
         diff = float(np.max(np.abs(vals[m:] - vals[:-m])))
         best = max(best, diff / (m * dx) ** beta)
     return best
-
-
-def sobolev_norm(f: GridFunction, gamma: float) -> float:
-    """Spectral H^gamma norm (sum (1+xi^2)^gamma |c_k|^2 / L)^(1/2).
-
-    gamma = 0 reproduces the discrete L2 norm by Parseval.
-    """
-    if gamma < 0.0:
-        raise InvalidExponent(f"gamma must be >= 0, got {gamma}")
-    g = f.grid
-    c = dft(f).coeffs
-    energy = np.sum((1.0 + g.xi**2) ** gamma * np.abs(c) ** 2) / g.length
-    return float(np.sqrt(energy))
 
 
 def _ensemble_time_reduce(sq: np.ndarray, dt: float, kind: str) -> np.ndarray:
@@ -345,22 +228,13 @@ def ensemble_process_norms(
     return NormReport(sup_norm=sup, holder_seminorm=semi, beta=beta)
 
 
-def grid_header(grid: Grid1D) -> dict:
-    """JSON-serializable grid descriptor."""
-    return {"x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n, "dx": grid.dx}
-
-
-def write_field_csv(f: GridFunction, path: str, header_path: str | None = None) -> None:
-    """Write a field as CSV rows (x, value); optional JSON grid header."""
+def write_field_csv(f: GridFunction, path: str) -> None:
+    """Write a field as CSV rows (x, value) under the header x,value."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "value"])
         for xj, vj in zip(f.grid.x, f.values):
             writer.writerow([repr(float(xj)), repr(float(vj))])
-    if header_path is not None:
-        with open(header_path, "w") as fh:
-            json.dump(grid_header(f.grid), fh, sort_keys=True)
-            fh.write("\n")
 
 
 def read_field_csv(path: str, grid: Grid1D | None = None) -> GridFunction:

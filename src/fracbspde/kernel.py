@@ -33,8 +33,8 @@ from .errors import (
     PositivityViolation,
     UnsupportedOrder,
 )
-from .fraclap import check_alpha
-from .grid import Grid1D, GridFunction, apply_multiplier
+from .fraclap import check_alpha, frac_lap_multiplier
+from .grid import GridFunction, apply_multiplier
 
 __all__ = [
     "CoefficientA",
@@ -45,10 +45,8 @@ __all__ = [
     "deriv_G",
     "deriv_G_ts",
     "frac_lap_G",
-    "semigroup_multiplier",
     "apply_semigroup_A",
     "semigroup_apply",
-    "kernel_mass",
     "kernel_tail_mass",
     "kernel_cdf",
     "BoundCheck",
@@ -246,17 +244,12 @@ def deriv_G_ts(x, params: KernelParams, k: int):
     return _two_time(deriv_G, x, params, k, k)
 
 
-def semigroup_multiplier(grid: Grid1D, A: float, alpha: float) -> np.ndarray:
-    """Fourier multiplier exp(-A |xi_k|^alpha) of the semigroup."""
+def apply_semigroup_A(phi: GridFunction, A: float, alpha: float) -> GridFunction:
+    """Convolution with G_A, computed as the multiplier exp(-A |xi_k|^alpha)."""
+    check_alpha(alpha)
     if A < 0:
         raise PositivityViolation(f"A must be >= 0, got {A}")
-    return np.exp(-A * np.abs(grid.xi) ** alpha)
-
-
-def apply_semigroup_A(phi: GridFunction, A: float, alpha: float) -> GridFunction:
-    """Convolution with G_A computed spectrally."""
-    check_alpha(alpha)
-    mult = semigroup_multiplier(phi.grid, A, alpha)
+    mult = np.exp(-A * frac_lap_multiplier(phi.grid, alpha))
     return GridFunction(phi.grid, apply_multiplier(phi.values, mult))
 
 
@@ -269,7 +262,7 @@ def semigroup_apply(
     return apply_semigroup_A(phi, eval_A(a, s, t), alpha)
 
 
-# --- mass, tails, CDF ------------------------------------------------------
+# --- tails, CDF ------------------------------------------------------------
 
 
 # Terms j = 1..3 of the heavy-tail series
@@ -294,23 +287,6 @@ def kernel_tail_mass(alpha: float, radius: float) -> float:
     """int_{|x| > radius} G dx from the heavy-tail asymptotic series."""
     check_alpha(alpha)
     return float(2.0 * _tail_series(alpha, radius))
-
-
-def kernel_mass(alpha: float) -> float:
-    """Quadrature mass 2 int_0^R G dx plus the asymptotic tail beyond R = 64."""
-    check_alpha(alpha)
-    radius, panel_h = 64.0, 0.5
-    edges = np.concatenate(
-        [
-            np.linspace(0.0, X_SWITCH, int(X_SWITCH / 0.25) + 1),
-            np.arange(X_SWITCH + panel_h, radius + panel_h / 2, panel_h),
-        ]
-    )
-    if edges[-1] < radius:
-        edges = np.append(edges, radius)
-    nodes, weights = _gl_panels(edges)
-    inner = 2.0 * float(np.dot(weights, eval_G(nodes, alpha)))
-    return inner + kernel_tail_mass(alpha, radius)
 
 
 def kernel_cdf(alpha: float, A: float = 1.0):

@@ -1,4 +1,4 @@
-"""Alpha-stable increment sampling, path simulation, and Feynman-Kac estimates.
+"""Alpha-stable and Brownian increment sampling, and Feynman-Kac estimates.
 
 Increments use the Chambers-Mallows-Stuck transform, which realizes the
 symmetric stable law with characteristic function exp(-t |xi|^alpha) exactly;
@@ -21,11 +21,8 @@ from .fraclap import c_alpha, check_alpha
 __all__ = [
     "RngStream",
     "PathGrid",
-    "SamplePath",
     "sample_stable",
     "sample_stable_poisson_series",
-    "simulate_levy_path",
-    "simulate_brownian_path",
     "simulate_brownian_increments",
     "simulate_forward_sde",
     "FeynmanKacResult",
@@ -74,19 +71,6 @@ class PathGrid:
         return self.t0 + self.dt * np.arange(self.N + 1)
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    """One simulated stable or Brownian path, stored by its increments."""
-
-    grid: PathGrid
-    increments: np.ndarray
-
-    @property
-    def values(self) -> np.ndarray:
-        """Path at grid times, starting from 0 at t0."""
-        return np.concatenate([[0.0], np.cumsum(self.increments)])
-
-
 def sample_stable(alpha: float, dt: float, rng: np.random.Generator, size=None):
     """Increment of the standard alpha-stable martingale over a step dt.
 
@@ -133,16 +117,6 @@ def sample_stable_poisson_series(
     np.add.at(out, np.repeat(np.arange(size), counts), mags * signs)
     small_var = 2.0 * ca * eps ** (2.0 - alpha) / (2.0 - alpha) * dt
     return out + rng.normal(0.0, np.sqrt(small_var), size)
-
-
-def simulate_levy_path(alpha: float, grid: PathGrid, rng: RngStream) -> SamplePath:
-    inc = sample_stable(alpha, grid.dt, rng.generator(), grid.N)
-    return SamplePath(grid, inc)
-
-
-def simulate_brownian_path(grid: PathGrid, rng: RngStream) -> SamplePath:
-    inc = rng.generator().normal(0.0, np.sqrt(grid.dt), grid.N)
-    return SamplePath(grid, inc)
 
 
 def simulate_brownian_increments(

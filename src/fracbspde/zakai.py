@@ -16,9 +16,7 @@ The adjoint pair (q, l) solves the backward equation
     dq = [-L* q - f - h l] dt + l dY,   q(T) = g,
 
 with L* the computed L2 adjoint of L phi = -a (-Delta)^(alpha/2) phi
-- D(k phi), namely L* phi = -a (-Delta)^(alpha/2) phi + k D phi.  The other
-reading of the adjoint's transport term, (Dk) phi, is exposed behind a flag
-for side-by-side comparison but breaks discrete duality and is not used.
+- D(k phi), namely L* phi = -a (-Delta)^(alpha/2) phi + k D phi.
 
 The Hamiltonian H(t, v, p, q) = <f(t,.,v), p> - <D(k(t,.,v) p), q> feeds the
 pointwise optimality check for brute-force optimal open-loop policies.
@@ -183,26 +181,14 @@ def apply_L(
 
 
 def apply_L_star(
-    phi: np.ndarray,
-    t: float,
-    v: float,
-    problem: ControlProblem,
-    printed_variant: bool = False,
+    phi: np.ndarray, t: float, v: float, problem: ControlProblem
 ) -> np.ndarray:
-    """Computed adjoint L* phi = -a (-Delta)^(alpha/2) phi + k D phi.
-
-    printed_variant=True evaluates -a (-Delta)^(alpha/2) phi + (Dk) phi
-    instead, for side-by-side comparison; that form is not the discrete
-    adjoint and violates the duality identity whenever Dk is not constant.
-    """
+    """Computed adjoint L* phi = -a (-Delta)^(alpha/2) phi + k D phi."""
     d1 = derivative_multiplier(problem.grid, 1)
     lam = frac_lap_multiplier(problem.grid, problem.alpha)
     a_t = float(problem.a(np.asarray([t]))[0])
     k_t = np.asarray(problem.k(t, v), dtype=float)
-    frac = -a_t * apply_multiplier(phi, lam)
-    if printed_variant:
-        return frac + apply_multiplier(k_t, d1) * phi
-    return frac + k_t * apply_multiplier(phi, d1)
+    return -a_t * apply_multiplier(phi, lam) + k_t * apply_multiplier(phi, d1)
 
 
 def duality_defect(
@@ -290,7 +276,7 @@ def solve_zakai(
     """Filter densities along observation paths; y_inc has shape (paths, n_steps)."""
     _check_transport_cfl(problem, policy, n_steps)
     times = np.linspace(0.0, problem.T, n_steps + 1)
-    out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
+    out_idx = time_indices(times, output_times)
     n_paths = y_inc.shape[0]
     p_out = np.empty((n_paths, out_idx.size, problem.grid.n))
     pos = {int(i): r for r, i in enumerate(out_idx)}
@@ -310,7 +296,6 @@ def solve_zakai(
 class CostEstimate:
     mean: float
     stderr: float
-    per_path: np.ndarray
 
 
 def cost_functional(
@@ -342,7 +327,6 @@ def cost_functional(
     return CostEstimate(
         mean=float(per_path.mean()),
         stderr=float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0,
-        per_path=per_path,
     )
 
 
@@ -379,7 +363,7 @@ def solve_adjoint(
     coarse_steps = np.unique(
         np.round(np.linspace(0, n_steps, min(6, n_steps) + 1)).astype(int)
     )[1:]
-    out_idx = np.arange(times.size) if output_times is None else time_indices(times, output_times)
+    out_idx = time_indices(times, output_times)
 
     def drift(i: int, q: np.ndarray) -> np.ndarray:
         t_hi, v_hi = times[i + 1], policy.value_at(times[i])

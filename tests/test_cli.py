@@ -448,6 +448,15 @@ def test_verify_all_rejects_custom_tier(tmp_path, capsys, monkeypatch, how):
     assert not report.exists()
 
 
+def test_verify_all_rejects_negative_seed(tmp_path, capsys, monkeypatch):
+    # the checks seed numpy generators, which raised a ValueError traceback
+    monkeypatch.setattr("fracbspde.cli.run_checks", lambda **kw: pytest.fail("checks ran"))
+    report = tmp_path / "r.json"
+    argv = ["verify-all", "--seed", "-1", "--checks", "chapman-kolmogorov", "--report", str(report)]
+    assert _config_error(capsys, argv + ["--timing", str(tmp_path / "t.json")]) == "seed"
+    assert not report.exists()
+
+
 @pytest.mark.parametrize(
     "command, cfg",
     [
@@ -463,6 +472,9 @@ def test_non_finite_solution_exits_1(tmp_path, capsys, command, cfg):
     assert main([command, "--config", str(path), "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error: " in err and "not finite" in err and "Traceback" not in err
+    # the subcommand names the run; an inner solver's name would misdirect
+    solvers = ("fourier", "kernel_deterministic", "pde_variable", "linear_gaussian", "regression")
+    assert not any(name in err for name in solvers)
     assert not out.exists()
 
 
@@ -496,7 +508,15 @@ _SMALL_GRID = st.fixed_dictionaries(
     {"n": st.sampled_from([1, 2, 8, 32, 64]), "x_min": _scalar(-20, 5), "x_max": _scalar(-5, 20)}
 )
 _COUNT = st.integers(-1, 8)
-# (subcommand, config) for small runs: grid n <= 64, steps <= 8, paths <= 4, samples <= 33
+_SEED = st.integers(-3, 3)
+# valid sizes and lengths, so that the runs below mostly reach their solvers
+# (the parametrized exit-2 test covers each invalid count and length)
+_VALID_GRID = st.fixed_dictionaries(
+    {"n": st.sampled_from([8, 32, 64]), "x_min": st.floats(-20, -1), "x_max": st.floats(1, 20)}
+)
+_ALPHA = st.floats(1.01, 2.0)
+# (subcommand, config) for small runs: grid n <= 64, steps <= 8, paths <= 4, samples <= 33;
+# fraclap reads a 32-point field that the test writes
 _SMALL_RUNS = st.one_of(
     st.tuples(
         st.just("kernel"),
@@ -536,7 +556,57 @@ _SMALL_RUNS = st.one_of(
                 "T": _scalar(-1, 1),
                 "p0_width": _scalar(-1, 3),
                 "steps": _COUNT,
-                "seed": st.integers(-3, 3),
+                "seed": _SEED,
+            }
+        ),
+    ),
+    st.tuples(
+        st.just("fraclap"),
+        st.fixed_dictionaries(
+            {
+                "alpha": _ALPHA,
+                "method": st.sampled_from(["spectral", "integral"]),
+                "quadrature_points": st.integers(8, 16),
+                "inner_cutoff": _scalar(-1, 3),
+            }
+        ),
+    ),
+    st.tuples(
+        st.just("solve-bspde"),
+        st.fixed_dictionaries(
+            {
+                "grid": _VALID_GRID,
+                "alpha": _ALPHA,
+                "T": st.floats(0.05, 2.0),
+                "g_c1": _scalar(-2, 2),
+                "paths": st.integers(1, 4),
+                "steps": st.integers(1, 8),
+                "seed": _SEED,
+            }
+        ),
+    ),
+    st.tuples(
+        st.just("control"),
+        st.fixed_dictionaries(
+            {
+                "grid": _VALID_GRID,
+                "alpha": _ALPHA,
+                "T": st.floats(0.05, 1.0),
+                "controls": st.lists(_scalar(-1, 1), min_size=1, max_size=3),
+                "intervals": st.integers(1, 2),
+                "paths": st.integers(2, 4),
+                "steps": st.sampled_from([4, 8]),
+                "seed": _SEED,
+            }
+        ),
+    ),
+    st.tuples(
+        st.just("verify-all"),
+        st.fixed_dictionaries(
+            {
+                "tier": st.sampled_from(["quick", "full", "custom"]),
+                "checks": st.just(["chapman-kolmogorov"]),
+                "seed": _SEED,
             }
         ),
     ),
@@ -550,8 +620,17 @@ def test_small_configs_exit_cleanly(run):
     command, cfg = run
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
-        path = Path(tmp) / "cfg.json"
+        tmp = Path(tmp)
+        if command == "fraclap":
+            field = GridFunction.from_callable(Grid1D(-4.0, 4.0, 32), np.sin)
+            write_field_csv(field, str(tmp / "field.csv"))
+            cfg = {**cfg, "input": str(tmp / "field.csv")}
+        path = tmp / "cfg.json"
         path.write_text(json.dumps(cfg))
-        code = main([command, "--config", str(path), "--output", str(Path(tmp) / "out")])
+        if command == "verify-all":
+            outputs = ["--report", str(tmp / "report.json"), "--timing", str(tmp / "timing.json")]
+        else:
+            outputs = ["--output", str(tmp / "out")]
+        code = main([command, "--config", str(path)] + outputs)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

@@ -9,43 +9,19 @@ from fracbspde.errors import (
     InvalidExponent,
     MalformedInput,
     OffGridTime,
-    SymmetryViolation,
 )
 from fracbspde.fraclap import frac_lap_multiplier
 from fracbspde.grid import (
     Grid1D,
     GridFunction,
-    SpectralCoeffs,
     apply_multiplier,
     derivative_multiplier,
-    dft,
     ensemble_process_norms,
-    grid_header,
     holder_seminorm,
-    idft,
-    l2_norm,
     read_field_csv,
-    sobolev_norm,
-    spectral_derivative,
     time_indices,
     write_field_csv,
 )
-
-
-def dft_direct(f: GridFunction) -> np.ndarray:
-    """O(n^2) oracle for the dx-weighted forward transform."""
-    g = f.grid
-    return np.array(
-        [g.dx * np.sum(f.values * np.exp(1j * xi * g.x)) for xi in g.xi]
-    )
-
-
-def idft_direct(c: SpectralCoeffs) -> np.ndarray:
-    """O(n^2) oracle for the inverse transform."""
-    g = c.grid
-    return np.array(
-        [np.real(np.sum(c.coeffs * np.exp(-1j * g.xi * xj))) / g.length for xj in g.x]
-    )
 
 
 @pytest.fixture
@@ -63,80 +39,11 @@ def test_grid_validation():
     assert g.xi[1] == pytest.approx(2 * np.pi)
 
 
-def test_dft_constant_field(grid):
-    c = dft(GridFunction(grid, np.full(grid.n, 3.5)))
-    # only the zero mode carries mass: value = c * L
-    assert c.mode(0) == pytest.approx(3.5 * grid.length)
-    rest = np.delete(np.abs(c.coeffs), 0)
-    assert rest.max() < 1e-10 * grid.length
-
-
-def test_dft_single_sine_mode(grid):
-    xi1 = 2 * np.pi / grid.length
-    f = GridFunction.from_callable(grid, lambda x: np.sin(xi1 * x))
-    c = dft(f)
-    # sin(xi1 x) = (e^{i xi1 x} - e^{-i xi1 x}) / 2i -> F picks modes -1 and +1
-    mags = np.abs(c.coeffs)
-    k1, km1 = grid.mode_index(1), grid.mode_index(-1)
-    assert mags[k1] == pytest.approx(grid.length / 2, rel=1e-12)
-    assert mags[km1] == pytest.approx(grid.length / 2, rel=1e-12)
-    assert c.mode(-1) == pytest.approx(np.conj(c.mode(1)))
-    other = np.delete(mags, [k1, km1])
-    assert other.max() < 1e-9
-
-
-def test_dft_matches_direct_sum_oracle():
-    g = Grid1D(-4.0, 4.0, 64)
-    rng = np.random.default_rng(7)
-    f = GridFunction(g, rng.standard_normal(g.n))
-    assert np.allclose(dft(f).coeffs, dft_direct(f), atol=1e-10)
-
-
-def test_parseval_identity(grid):
-    rng = np.random.default_rng(11)
-    f = GridFunction(grid, rng.standard_normal(grid.n))
-    c = dft(f)
-    direct = np.sum(f.values**2) * grid.dx
-    spectral = np.sum(np.abs(c.coeffs) ** 2) / grid.length
-    assert abs(direct - spectral) <= 1e-12 * direct
-
-
-def test_idft_round_trip(grid):
-    rng = np.random.default_rng(3)
-    f = GridFunction(grid, rng.standard_normal(grid.n))
-    back = idft(dft(f))
-    assert np.max(np.abs(back.values - f.values)) < 1e-10
-
-
-def test_idft_zero_coeffs(grid):
-    z = idft(SpectralCoeffs(grid, np.zeros(grid.n, dtype=complex)))
-    assert np.all(z.values == 0.0)
-
-
-def test_idft_single_mode_matches_direct_evaluation(grid):
-    # conjugate pair at k = +-3 with weight L/2 reproduces cos(xi_3 x)
-    coeffs = np.zeros(grid.n, dtype=complex)
-    coeffs[grid.mode_index(3)] = grid.length / 2
-    coeffs[grid.mode_index(-3)] = grid.length / 2
-    c = SpectralCoeffs(grid, coeffs)
-    f = idft(c)
-    xi3 = 2 * np.pi * 3 / grid.length
-    assert np.allclose(f.values, np.cos(xi3 * grid.x), atol=1e-12)
-    assert np.allclose(f.values, idft_direct(c), atol=1e-10)
-
-
-def test_idft_rejects_asymmetric_coeffs(grid):
-    coeffs = np.zeros(grid.n, dtype=complex)
-    coeffs[grid.mode_index(3)] = 1.0  # no conjugate partner
-    with pytest.raises(SymmetryViolation):
-        idft(SpectralCoeffs(grid, coeffs))
-
-
 def test_spectral_derivative_on_sine(grid):
     xi2 = 2 * np.pi * 2 / grid.length
     f = GridFunction.from_callable(grid, lambda x: np.sin(xi2 * x))
-    df = spectral_derivative(f)
-    assert np.allclose(df.values, xi2 * np.cos(xi2 * grid.x), atol=1e-10)
+    df = apply_multiplier(f.values, derivative_multiplier(grid, 1))
+    assert np.allclose(df, xi2 * np.cos(xi2 * grid.x), atol=1e-10)
 
 
 def _same_bits(a, b):
@@ -190,6 +97,7 @@ def test_cached_multipliers_are_read_only(grid):
 )
 def test_time_indices_on_and_off_grid(T, steps, picks, frac):
     times = np.linspace(0.0, T, steps + 1)
+    assert time_indices(times, None).tolist() == list(range(steps + 1))
     picks = [i % (steps + 1) for i in picks]
     assert time_indices(times, times[picks]).tolist() == sorted(set(picks))
     # the same times recomputed as i T / steps still land on their nodes
@@ -264,33 +172,6 @@ def test_holder_embedding_monotone():
     assert holder_seminorm(f, b2) <= c * holder_seminorm(f, b1) + 1e-12
 
 
-def test_sobolev_norm_gamma_zero_is_l2(grid):
-    rng = np.random.default_rng(13)
-    f = GridFunction(grid, rng.standard_normal(grid.n))
-    assert sobolev_norm(f, 0.0) == pytest.approx(l2_norm(f), rel=1e-12)
-
-
-def test_sobolev_norm_single_mode(grid):
-    xi1 = 2 * np.pi / grid.length
-    f = GridFunction.from_callable(grid, lambda x: np.sin(xi1 * x))
-    expected = (1 + xi1**2) ** 0.5 * l2_norm(f)
-    assert sobolev_norm(f, 1.0) == pytest.approx(expected, rel=1e-12)
-
-
-def test_sobolev_norm_zero_field_and_errors(grid):
-    f = GridFunction(grid, np.zeros(grid.n))
-    assert sobolev_norm(f, 1.3) == 0.0
-    with pytest.raises(InvalidExponent):
-        sobolev_norm(f, -0.1)
-
-
-def test_sobolev_norm_monotone_in_gamma(grid):
-    rng = np.random.default_rng(17)
-    f = GridFunction(grid, rng.standard_normal(grid.n))
-    norms = [sobolev_norm(f, gam) for gam in (0.0, 0.5, 1.0, 1.7)]
-    assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
-
-
 def test_ensemble_norms_deterministic_replication():
     g = Grid1D(-4.0, 4.0, 64)
     prof = np.cos(2 * np.pi * g.x / g.length)
@@ -347,29 +228,20 @@ def test_ensemble_norms_l2_kind():
 
 def test_field_arithmetic_and_grid_mismatch():
     g1 = Grid1D(-1.0, 1.0, 32)
-    g2 = Grid1D(-1.0, 1.0, 64)
-    f1 = GridFunction(g1, np.ones(32))
-    f2 = GridFunction(g2, np.ones(64))
-    assert np.all((f1 + f1).values == 2.0)
-    assert np.all((2.0 * f1).values == 2.0)
-    with pytest.raises(GridMismatch):
-        _ = f1 + GridFunction(g2, np.ones(64))
+    f1 = GridFunction(g1, np.ones(32, dtype=int))
+    assert f1.values.dtype == float and np.all(f1.values == 1.0)
     with pytest.raises(GridMismatch):
         GridFunction(g1, np.ones(64))
-    del f2
 
 
 def test_csv_round_trip(tmp_path):
     g = Grid1D(-2.0, 2.0, 32)
     f = GridFunction.from_callable(g, lambda x: np.sin(x))
     csv_path = tmp_path / "field.csv"
-    hdr_path = tmp_path / "field.json"
-    write_field_csv(f, str(csv_path), str(hdr_path))
+    write_field_csv(f, str(csv_path))
     back = read_field_csv(str(csv_path))
     assert back.grid == g
     assert np.allclose(back.values, f.values, atol=0)
-    hdr = grid_header(g)
-    assert hdr["n"] == 32 and hdr["dx"] == pytest.approx(0.125)
 
 
 @pytest.mark.parametrize(

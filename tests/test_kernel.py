@@ -21,7 +21,6 @@ from fracbspde.kernel import (
     eval_G_ts,
     frac_lap_G,
     kernel_cdf,
-    kernel_mass,
     semigroup_apply,
     verify_kernel_bounds,
 )
@@ -65,11 +64,6 @@ def test_eval_G_matches_adaptive_quadrature():
                 lambda xi: np.cos(xi * x) * np.exp(-(xi**alpha)), 0, 60, limit=400
             )[0] / np.pi
             assert eval_G(x, alpha) == pytest.approx(oracle, abs=1e-9)
-
-
-def test_kernel_mass_is_one():
-    for alpha in (1.2, 1.5, 1.8, 2.0):
-        assert abs(kernel_mass(alpha) - 1.0) < 1e-6
 
 
 def test_eval_G_ts_scaling():

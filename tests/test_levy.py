@@ -11,9 +11,7 @@ from fracbspde.levy import (
     sample_stable,
     sample_stable_poisson_series,
     simulate_brownian_increments,
-    simulate_brownian_path,
     simulate_forward_sde,
-    simulate_levy_path,
 )
 
 
@@ -88,15 +86,19 @@ def test_poisson_series_cross_check():
 
 def test_path_lengths_and_reproducibility():
     grid = PathGrid(0.0, 1.0, 64)
-    lp = simulate_levy_path(1.5, grid, RngStream(3, 9))
-    bp = simulate_brownian_path(grid, RngStream(3, 9))
-    assert lp.increments.shape == (64,)
-    assert bp.increments.shape == (64,)
-    assert lp.values.shape == (65,)
-    lp2 = simulate_levy_path(1.5, grid, RngStream(3, 9))
-    assert np.array_equal(lp.increments, lp2.increments)  # bit-identical
-    other = simulate_levy_path(1.5, grid, RngStream(3, 10))
-    assert not np.array_equal(lp.increments, other.increments)
+
+    def levy_increments(stream):
+        return sample_stable(1.5, grid.dt, stream.generator(), grid.N)
+
+    lp = levy_increments(RngStream(3, 9))
+    bp = simulate_brownian_increments(grid, RngStream(3, 9), 1)
+    assert lp.shape == (64,)
+    assert bp.shape == (1, 64)
+    assert grid.times.shape == (65,)
+    lp2 = levy_increments(RngStream(3, 9))
+    assert np.array_equal(lp, lp2)  # bit-identical
+    other = levy_increments(RngStream(3, 10))
+    assert not np.array_equal(lp, other)
 
 
 def test_child_streams_differ():
@@ -110,8 +112,8 @@ def test_child_streams_differ():
 
 def test_brownian_quadratic_variation():
     grid = PathGrid(0.0, 1.0, 10_000)
-    bp = simulate_brownian_path(grid, RngStream(29))
-    qv = np.sum(bp.increments**2)
+    bp = simulate_brownian_increments(grid, RngStream(29), 1)
+    qv = np.sum(bp**2)
     # sum of squares is chi^2-like: sd = sqrt(2 T^2 / N)
     assert abs(qv - 1.0) < 3.0 * np.sqrt(2.0 / grid.N)
 

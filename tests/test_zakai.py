@@ -5,7 +5,7 @@ from fracbspde.bspde import BSPDEData, solve_pde_variable_coeff
 from fracbspde.errors import BlowUp, BudgetExceeded, OffGridTime, PositivityViolation
 from fracbspde.grid import Grid1D
 from fracbspde.kernel import CoefficientA, apply_semigroup_A
-from fracbspde.grid import GridFunction, spectral_derivative, time_indices
+from fracbspde.grid import GridFunction, apply_multiplier, derivative_multiplier, time_indices
 from fracbspde.levy import PathGrid, RngStream, sample_stable, simulate_brownian_increments
 from fracbspde.zakai import (
     ControlPolicy,
@@ -85,14 +85,6 @@ def test_duality_with_varying_k():
     phi, psi = smooth_field(GRID, 3), smooth_field(GRID, 4)
     scale = np.linalg.norm(phi) * np.linalg.norm(psi) * GRID.dx
     assert duality_defect(phi, psi, 0.2, 0.0, prob) < 1e-8 * scale
-
-
-def test_printed_adjoint_variant_differs():
-    prob = make_problem(k=lambda t, v: np.sin(XI1 * GRID.x))
-    psi = smooth_field(GRID, 5)
-    true_star = apply_L_star(psi, 0.0, 0.0, prob)
-    printed = apply_L_star(psi, 0.0, 0.0, prob, printed_variant=True)
-    assert np.max(np.abs(true_star - printed)) > 1e-3
 
 
 def test_zakai_pure_diffusion_matches_semigroup():
@@ -285,7 +277,7 @@ def test_hamiltonian_integration_by_parts():
     k_field = np.sin(XI1 * GRID.x)
 
     def deriv(vals):
-        return spectral_derivative(GridFunction(GRID, vals)).values
+        return apply_multiplier(vals, derivative_multiplier(GRID, 1))
 
     lhs = np.sum(deriv(k_field * p) * q) * GRID.dx
     rhs = -np.sum(k_field * p * deriv(q)) * GRID.dx
