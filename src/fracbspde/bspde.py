@@ -52,7 +52,6 @@ __all__ = [
     "RandomFieldSpec",
     "BSPDEData",
     "SolutionField",
-    "MartingaleData",
     "RegressionSolution",
     "solve_fourier_deterministic",
     "solve_kernel_deterministic",
@@ -127,14 +126,18 @@ class RandomFieldSpec:
             ts.update(term.functional.times())
         return tuple(sorted(ts))
 
-    def is_affine_in_terminal(self, T: float) -> bool:
+    def affine_terms(self, T: float) -> list[tuple[np.ndarray, float, float]]:
+        """(profile, c0, c1) per term c0 + c1 W_T; UnsupportedSpec for any other term."""
+        out = []
         for term in self.terms:
             fn = term.functional
-            if fn.quadratic:
-                return False
-            if any(abs(tau - T) > 1e-12 for tau, _ in fn.linear):
-                return False
-        return True
+            if fn.quadratic or any(abs(tau - T) > 1e-12 for tau, _ in fn.linear):
+                raise UnsupportedSpec(
+                    "closed form covers terminal data affine in W_T only; "
+                    "use the regression solver for richer functionals"
+                )
+            out.append((term.profile, fn.const, sum(c for _, c in fn.linear)))
+        return out
 
 
 # --- problem data -------------------------------------------------------------
@@ -217,46 +220,6 @@ class SolutionField:
             shape = self.u.shape[:-2] + (self.grid.n,)
             return np.zeros(shape)
         return self.v[..., time_indices(self.times, [t])[0], :]
-
-
-@dataclass
-class MartingaleData:
-    """Explicit martingale-representation fields for the affine-terminal class.
-
-    p(t; x) = sum_i (c0_i + c1_i W_t) profile_i(x) per path, q(t; x) =
-    sum_i c1_i profile_i(x) (path-independent), Y(t; s, x) = f(s, x)
-    (deterministic source), Z identically zero.
-    """
-
-    grid: Grid1D
-    times: np.ndarray
-    w_at_times: np.ndarray  # (paths, times)
-    terms: tuple[RandomTerm, ...]
-    f: FieldFn | None
-
-    def p_at(self, t: float) -> np.ndarray:
-        w = self.w_at_times[:, time_indices(self.times, [t])[0]][:, None]
-        out = np.zeros((self.w_at_times.shape[0], self.grid.n))
-        for term in self.terms:
-            c0 = term.functional.const
-            c1 = sum(c for _, c in term.functional.linear)
-            out += (c0 + c1 * w) * term.profile[None, :]
-        return out
-
-    def q_field(self) -> np.ndarray:
-        out = np.zeros(self.grid.n)
-        for term in self.terms:
-            out += sum(c for _, c in term.functional.linear) * term.profile
-        return out
-
-    def Y_at(self, s: float) -> np.ndarray:
-        if self.f is None:
-            return np.zeros(self.grid.n)
-        return np.asarray(self.f(s), dtype=float)
-
-    @property
-    def z_is_zero(self) -> bool:
-        return True
 
 
 # --- shared time machinery ------------------------------------------------------
@@ -518,7 +481,7 @@ def solve_bspde_linear_gaussian(
     rng: RngStream,
     n_steps: int = 128,
     output_times: Sequence[float] | None = None,
-) -> tuple[SolutionField, MartingaleData]:
+) -> tuple[SolutionField, np.ndarray]:
     """Closed-form pathwise solution for g = sum_i phi_i(x)(c0_i + c1_i W_T).
 
     With sigma = 0 the conditional expectations are plain martingale
@@ -526,15 +489,15 @@ def solve_bspde_linear_gaussian(
 
         u(t, x) = (R_t^T p(t))(x) + int_t^T (R_t^s f(s))(x) ds,
         v(t, x) = (R_t^T q)(x)  (path-independent).
+
+    Returns the solution and W at its output times, shape (paths, times):
+    the paths that solve_bspde_regression draws from the same RngStream.
     """
     _require_sigma_zero(data)
     if not isinstance(data.g, RandomFieldSpec):
         raise UnsupportedSpec("terminal condition must be a RandomFieldSpec")
-    if not data.g.is_affine_in_terminal(data.T):
-        raise UnsupportedSpec(
-            "closed form covers terminal data affine in W_T only; "
-            "use the regression solver for richer functionals"
-        )
+    terms = data.g.affine_terms(data.T)
+    f = data.deterministic_f()
     g = data.grid
     times = np.linspace(0.0, data.T, n_steps + 1)
     dt = data.T / n_steps
@@ -544,18 +507,16 @@ def solve_bspde_linear_gaussian(
         part = BSPDEData(grid=g, alpha=data.alpha, T=data.T, a=data.a, g=terminal, f=f)
         return solve_fourier_deterministic(part, n_steps=n_steps, output_times=times[out_idx]).u
 
-    # the deterministic source part, then R_t^T of each terminal profile
-    source_part = fourier_part(np.zeros(g.n), data.deterministic_f())
-
     w_inc = rng.generator().normal(0.0, np.sqrt(dt), (n_paths, n_steps))
     w_cum = _brownian_path(w_inc)
 
-    u = np.broadcast_to(source_part, (n_paths, out_idx.size, g.n)).copy()
+    # the deterministic source part, then R_t^T of each terminal profile
+    u = np.zeros((n_paths, out_idx.size, g.n))
+    if f is not None:
+        u[:] = fourier_part(np.zeros(g.n), f)
     v = np.zeros((out_idx.size, g.n))
-    for term in data.g.terms:
-        prof_prop = fourier_part(term.profile, None)
-        c0 = term.functional.const
-        c1 = sum(cc for _, cc in term.functional.linear)
+    for profile, c0, c1 in terms:
+        prof_prop = fourier_part(profile, None)
         for row, i in enumerate(out_idx):  # row by row: no second (paths, times, n) array
             u[:, row] += (c0 + c1 * w_cum[:, i])[:, None] * prof_prop[row]
         v += c1 * prof_prop
@@ -567,14 +528,7 @@ def solve_bspde_linear_gaussian(
         v=_finite(v),
         meta={"solver": "linear_gaussian", "n_steps": n_steps, "n_paths": n_paths},
     )
-    mart = MartingaleData(
-        grid=g,
-        times=times[out_idx],
-        w_at_times=w_cum[:, out_idx],
-        terms=data.g.terms,
-        f=data.deterministic_f(),
-    )
-    return sol, mart
+    return sol, w_cum[:, out_idx]
 
 
 @dataclass
@@ -856,18 +810,13 @@ def verify_holder_estimate(
     # RHS: ||g||_{alpha/2 + beta, L2(Omega)}
     order_g = data.alpha / 2.0 + beta
     if random_g:
-        # E|g|^2 is exact for affine functionals: profile^2 (c0^2 + c1^2 T)
-        fields = []
-        for term in data.g.terms:
-            c0 = term.functional.const
-            c1 = sum(c for _, c in term.functional.linear)
-            fields.append((term.profile, c0, c1))
-        # build a Gaussian-exact ensemble representation on two quadrature
+        # E|g|^2 is exact for affine functionals: profile^2 (c0^2 + c1^2 T).
+        # Build a Gaussian-exact ensemble representation on two quadrature
         # points of W_T: values +-sqrt(T) with equal weight reproduce first
         # and second moments of each affine functional
         wq = np.array([np.sqrt(data.T), -np.sqrt(data.T)])
         samples = np.zeros((2, 1, g.n))
-        for prof, c0, c1 in fields:
+        for prof, c0, c1 in data.g.affine_terms(data.T):
             samples += (c0 + c1 * wq)[:, None, None] * prof[None, None, :]
         rhs = space_process_norm(samples, g, dt=1.0, order=order_g, kind="s2")
     else:

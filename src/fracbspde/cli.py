@@ -34,7 +34,7 @@ from .bspde import (
     solve_pde_variable_coeff,
 )
 from .checks import CheckResult, check_ids, run_checks
-from .errors import ConfigError, FracBspdeError, MalformedInput, OffGridTime
+from .errors import ConfigError, FracBspdeError, MalformedInput, OffGridTime, PositivityViolation
 from .fraclap import SingularIntegralConfig, apply_singular_integral, apply_spectral
 from .grid import Grid1D, read_field_csv, time_indices, write_field_csv
 from .kernel import (
@@ -61,8 +61,8 @@ GRID_DEFAULT_PATHWISE = {"x_min": -32.0, "x_max": 32.0, "n": 256}
 # least value of each count key, in every schema that has it; 8 is the floor
 # of SingularIntegralConfig
 COUNT_MINIMUM = {"samples": 1, "quadrature_points": 8, "paths": 1, "steps": 1, "intervals": 1}
-# lengths that must be finite and > 0, in every schema that has them
-POSITIVE_KEYS = ("T", "horizon", "p0_width", "x_range")
+# values that must be finite and > 0, in every schema that has them
+POSITIVE_KEYS = ("T", "horizon", "p0_width", "x_range", "A", "inner_cutoff")
 
 
 def _is_number(value) -> bool:
@@ -73,9 +73,9 @@ def _load_config(path: str | None, schema: dict, overrides: dict) -> dict:
     """Merge config-file values and CLI overrides against a schema.
 
     schema maps key -> (type, default, flag); unknown keys, wrong types, counts
-    below COUNT_MINIMUM, POSITIVE_KEYS <= 0 and a control set that is not a
-    non-empty list of numbers are rejected with their path; None overrides
-    are ignored.
+    below COUNT_MINIMUM, POSITIVE_KEYS <= 0, an alpha outside (1, 2] and a
+    control set that is not a non-empty list of numbers are rejected with
+    their path; None overrides are ignored.
     """
     raw = {}
     if path is not None:
@@ -107,6 +107,8 @@ def _load_config(path: str | None, schema: dict, overrides: dict) -> dict:
             raise ConfigError(f"{key} must be >= {COUNT_MINIMUM[key]}, got {value}", key)
         if key in POSITIVE_KEYS and not (_is_number(value) and value > 0):
             raise ConfigError(f"{key} must be finite and > 0, got {value}", key)
+        if key == "alpha" and not 1.0 < value <= 2.0:  # the range of fraclap.check_alpha
+            raise ConfigError(f"alpha must lie in (1, 2], got {value}", key)
         if key == "controls" and not (value and all(map(_is_number, value))):
             raise ConfigError(f"controls must be a non-empty list of numbers, got {value}", key)
         resolved[key] = value
@@ -222,6 +224,8 @@ FRACLAP_SCHEMA = {
 def cmd_fraclap(cfg: dict) -> int:
     if cfg["method"] not in ("spectral", "integral"):
         raise ConfigError(f"method must be spectral or integral, got {cfg['method']!r}", "method")
+    if cfg["method"] == "integral" and cfg["alpha"] == 2.0:
+        raise ConfigError("the integral method needs alpha < 2; use the spectral method", "alpha")
     if cfg["input"] is None:
         raise ConfigError("an input CSV is required", "input")
     try:
@@ -309,14 +313,21 @@ PDE_SCHEMA = {
 }
 
 
+def _coefficient_a(cfg: dict) -> CoefficientA:
+    a_fn = parse_time_fn(cfg["a"], "a")
+    try:  # the diffusivity preset must be > 0 on [0, T]
+        return CoefficientA.from_callable(a_fn, t_max=cfg["T"])
+    except PositivityViolation as exc:
+        raise ConfigError(str(exc), "a") from exc
+
+
 def _pde_data(cfg: dict) -> BSPDEData:
     grid = _grid_from_cfg(cfg)
-    a_fn = parse_time_fn(cfg["a"], "a")
-    a = CoefficientA.from_callable(a_fn, t_max=cfg["T"])
+    a = _coefficient_a(cfg)
     a_xt = None
     if cfg["a_x"] is not None:
         shape = parse_field(cfg["a_x"], grid, "a_x")
-        a_xt = lambda t: a_fn(np.asarray([t]))[0] + shape
+        a_xt = lambda t: a(np.asarray([t]))[0] + shape
     fields = {}
     for key in ("b", "c", "f"):
         if cfg[key] is not None:
@@ -340,10 +351,10 @@ def cmd_solve_pde(cfg: dict) -> int:
     out_times = cfg["output_times"] or list(np.linspace(0.0, cfg["T"], 5))
     _step_time_indices(out_times, cfg["T"], cfg["steps"], "output_times")
     needs_var = any(cfg[k] is not None for k in ("a_x", "b", "c"))
-    if needs_var:
-        sol = solve_pde_variable_coeff(data, n_steps=cfg["steps"], output_times=out_times)
-    else:
-        sol = solve_fourier_deterministic(data, n_steps=cfg["steps"], output_times=out_times)
+    solve = solve_pde_variable_coeff if needs_var else solve_fourier_deterministic
+    # an overflow surfaces as the BlowUp of the solver's finiteness guard, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve(data, n_steps=cfg["steps"], output_times=out_times)
     rows = []
     for ti, t in enumerate(sol.times):
         for xj, uj in zip(data.grid.x, sol.u[ti]):
@@ -387,7 +398,7 @@ def cmd_solve_bspde(cfg: dict) -> int:
         grid=grid,
         alpha=cfg["alpha"],
         T=cfg["T"],
-        a=CoefficientA.from_callable(parse_time_fn(cfg["a"], "a"), t_max=cfg["T"]),
+        a=_coefficient_a(cfg),
         g=spec,
         f=(lambda t, arr=f_arr: arr) if f_arr is not None else None,
         sigma=cfg["sigma"],
@@ -399,12 +410,13 @@ def cmd_solve_bspde(cfg: dict) -> int:
     quarter_idx = [round(q * cfg["steps"]) for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
     out_times = np.linspace(0.0, cfg["T"], cfg["steps"] + 1)[np.union1d(quarter_idx, probe_idx)]
     stream = RngStream(cfg["seed"])
-    closed, _ = solve_bspde_linear_gaussian(
-        data, n_paths=cfg["paths"], rng=stream, n_steps=cfg["steps"], output_times=out_times
-    )
-    reg = solve_bspde_regression(
-        data, n_paths=cfg["paths"], rng=stream, n_steps=cfg["steps"], output_times=out_times
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # as in cmd_solve_pde
+        closed, _ = solve_bspde_linear_gaussian(
+            data, n_paths=cfg["paths"], rng=stream, n_steps=cfg["steps"], output_times=out_times
+        )
+        reg = solve_bspde_regression(
+            data, n_paths=cfg["paths"], rng=stream, n_steps=cfg["steps"], output_times=out_times
+        )
     rows = []
     for ti, t in enumerate(closed.times):
         u_mean = closed.u_at(t).mean(axis=0)

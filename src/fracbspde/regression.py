@@ -38,13 +38,14 @@ def project_expectation(
     scale = np.linalg.norm(design, axis=0) / np.sqrt(design.shape[0])
     keep = scale > 0.0  # all-zero features carry no information
     X = design[:, keep] / scale[keep]
-    cond = np.linalg.cond(X)
+    # the singular values of the solve give the condition number: one SVD
+    coef, _, _, sv = np.linalg.lstsq(X, targets, rcond=None)
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     if cond > cond_threshold:
         raise IllConditioned(
             f"normal-matrix condition ~{cond**2:.2e} exceeds threshold; "
             "raise the path count or lower the basis degree"
         )
-    coef, *_ = np.linalg.lstsq(X, targets, rcond=None)
     fitted = X @ coef
     resid_var = np.mean(np.abs(targets - fitted) ** 2, axis=0)
     se_fit = np.sqrt(resid_var * X.shape[1] / X.shape[0])

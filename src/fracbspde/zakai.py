@@ -211,7 +211,9 @@ def _zakai_stepper(
     n_steps: int,
     guard: float,
 ):
-    """Generator yielding (step index, t, p) after each full step, p shape (P, n)."""
+    """Generator yielding (i, t_i, p(t_i)) at the nodes i = 0..n_steps, p shape
+    (paths, n), after checking the transport CFL number of the policy."""
+    _check_transport_cfl(problem, policy, n_steps)
     g = problem.grid
     lam = frac_lap_multiplier(g, problem.alpha)
     # D of the flux k p, 2/3-dealiased
@@ -225,7 +227,7 @@ def _zakai_stepper(
     p = np.broadcast_to(problem.p0, (n_paths, g.n)).copy()
     guard_level = guard * (float(np.abs(problem.p0).max()) + 1.0)
 
-    yield -1, 0.0, p
+    yield 0, times[0], p
     for i in range(n_steps):
         t = times[i]
         # (1) exact spectral fractional-diffusion factor over the step
@@ -246,7 +248,7 @@ def _zakai_stepper(
                 f"density norm exceeded the blow-up guard at step {i + 1}/{n_steps}; "
                 "reduce the step size"
             )
-        yield i, times[i + 1], p
+        yield i + 1, times[i + 1], p
 
 
 def _check_transport_cfl(
@@ -274,16 +276,13 @@ def solve_zakai(
     guard: float = 1e6,
 ) -> ZakaiState:
     """Filter densities along observation paths; y_inc has shape (paths, n_steps)."""
-    _check_transport_cfl(problem, policy, n_steps)
     times = np.linspace(0.0, problem.T, n_steps + 1)
     out_idx = time_indices(times, output_times)
-    n_paths = y_inc.shape[0]
-    p_out = np.empty((n_paths, out_idx.size, problem.grid.n))
+    p_out = np.empty((y_inc.shape[0], out_idx.size, problem.grid.n))
     pos = {int(i): r for r, i in enumerate(out_idx)}
-    for step, t, p in _zakai_stepper(problem, policy, y_inc, n_steps, guard):
-        idx = step + 1
-        if idx in pos:
-            p_out[:, pos[idx], :] = p
+    for i, _, p in _zakai_stepper(problem, policy, y_inc, n_steps, guard):
+        if i in pos:
+            p_out[:, pos[i], :] = p
     return ZakaiState(
         grid=problem.grid,
         times=times[out_idx],
@@ -306,23 +305,16 @@ def cost_functional(
     guard: float = 1e6,
 ) -> CostEstimate:
     """J = E[int <f(t,.,u_t), p> dt + <g, p(T)>], left-rectangle in time."""
-    _check_transport_cfl(problem, policy, n_steps)
     dx = problem.grid.dx
     dt = problem.T / n_steps
     n_paths = y_inc.shape[0]
     running = np.zeros(n_paths)
-    p_final = None
-    for step, t, p in _zakai_stepper(problem, policy, y_inc, n_steps, guard):
-        if step < n_steps - 1:
+    for i, t, p in _zakai_stepper(problem, policy, y_inc, n_steps, guard):
+        if i < n_steps:
             # cost integrand at the left point of the coming step
-            tl = t
-            v = policy.value_at(tl)
-            f_field = np.asarray(problem.f(tl, v), dtype=float)
+            f_field = np.asarray(problem.f(t, policy.value_at(t)), dtype=float)
             running += dt * (p @ f_field) * dx
-        if step == n_steps - 1:
-            p_final = p
-    # the loop yields the initial state first; the final yield is p(T)
-    terminal = (p_final @ problem.g) * dx
+    terminal = (p @ problem.g) * dx  # the last node's p is p(T)
     per_path = running + terminal
     return CostEstimate(
         mean=float(per_path.mean()),

@@ -9,6 +9,7 @@ from fracbspde.bspde import (
     RandomFieldSpec,
     RandomTerm,
     fbsde_crosscheck,
+    regress_backward,
     solve_bspde_linear_gaussian,
     solve_bspde_regression,
     solve_fourier_deterministic,
@@ -249,16 +250,35 @@ def test_linear_gaussian_terminal_pathwise():
     c0, c1, T = 0.4, 1.3, 1.0
     data = make_data(g=affine_terminal(prof, c0, c1, T))
     n_steps = 32
-    sol, mart = solve_bspde_linear_gaussian(
-        data, n_paths=64, rng=RngStream(7), n_steps=n_steps
-    )
-    w_T = mart.w_at_times[:, -1]
+    sol, w = solve_bspde_linear_gaussian(data, n_paths=64, rng=RngStream(7), n_steps=n_steps)
+    w_T = w[:, -1]
     expected = (c0 + c1 * w_T)[:, None] * prof[None, :]
     assert np.max(np.abs(sol.u_at(T) - expected)) < 1e-10
-    # martingale fields: p(T) = g pathwise, q = c1 * profile, Z == 0
-    assert np.max(np.abs(mart.p_at(T) - expected)) < 1e-12
-    assert np.max(np.abs(mart.q_field() - c1 * prof)) < 1e-12
-    assert mart.z_is_zero
+
+
+def test_linear_gaussian_paths_are_the_regression_paths(monkeypatch):
+    # the CLI, the regression-bspde check and the benchmark compare the two
+    # solvers path by path: W from the closed form must be the cumulative sum
+    # of the increments that the regression solver draws from the same stream
+    drawn = []
+
+    def recording(increments, *args):
+        drawn.append(increments)
+        return regress_backward(increments, *args)
+
+    monkeypatch.setattr("fracbspde.bspde.regress_backward", recording)
+    data = make_data(g=affine_terminal(np.sin(XI1 * GRID.x), 0.2, 1.0, 1.0))
+    n_steps, out_times = 16, [0.0, 0.25, 1.0]
+    _, w = solve_bspde_linear_gaussian(
+        data, n_paths=32, rng=RngStream(3), n_steps=n_steps, output_times=out_times
+    )
+    solve_bspde_regression(
+        data, n_paths=32, rng=RngStream(3), n_steps=n_steps, output_times=out_times
+    )
+    (increments,) = drawn
+    w_cum = np.concatenate([np.zeros((32, 1)), np.cumsum(increments, axis=1)], axis=1)
+    assert w.shape == (32, len(out_times))
+    np.testing.assert_array_equal(w, w_cum[:, [0, 4, 16]])
 
 
 def test_linear_gaussian_v_is_propagated_profile():
@@ -267,7 +287,7 @@ def test_linear_gaussian_v_is_propagated_profile():
     data = make_data(g=affine_terminal(prof, 0.2, c1, 1.0))
     sol, _ = solve_bspde_linear_gaussian(data, n_paths=4, rng=RngStream(9), n_steps=32)
     lam = np.abs(GRID.xi) ** 1.5
-    for t in (0.0, 0.5):
+    for t in (0.0, 0.5, 1.0):  # v(T) = c1 times the profile
         A = 1.0 - t
         expected = c1 * np.real(np.fft.ifft(np.exp(-A * lam) * np.fft.fft(prof)))
         assert np.max(np.abs(sol.v_at(t) - expected)) < 1e-10
@@ -374,10 +394,10 @@ def test_regression_random_source_matches_closed_form():
     slopes, v_means = [], []
     for rep in range(n_reps):
         stream = RngStream(29, rep)
-        _, mart = solve_bspde_linear_gaussian(
+        _, w = solve_bspde_linear_gaussian(
             w_spec, n_paths=n_paths, rng=stream, n_steps=n_steps, output_times=[t]
         )
-        w_t = mart.w_at_times[:, 0]
+        w_t = w[:, 0]
         reg = solve_bspde_regression(data, n_paths=n_paths, rng=stream, n_steps=n_steps)
         # the coefficient of W_t in u(t) at x, and the path mean of v(t)
         slopes.append(np.mean(reg.u_values(t)[:, x_idx] * w_t) / np.mean(w_t**2))
@@ -443,6 +463,37 @@ def test_one_projection_per_step_matches_two(
     target = Y + dt * (drift + vol * Z_alone)
     two, _, _ = project_expectation(design, target)
     np.testing.assert_allclose(one, two, rtol=0, atol=1e-12 * np.abs(target).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_feat=st.integers(1, 8),
+    collinearity=st.floats(1e-6, 1.0),
+    cols=st.integers(1, 4),
+    complex_targets=st.booleans(),
+)
+def test_projection_cond_is_the_design_cond(seed, n_feat, collinearity, cols, complex_targets):
+    # cond comes from the singular values of the least-squares solve; the
+    # reference is a separate SVD of the column-scaled design.  The smallest
+    # singular value is accurate to about eps times the largest, so the
+    # relative tolerance grows with cond.
+    rng = np.random.default_rng(seed)
+    n_paths = int(rng.integers(4 * n_feat + 4, 300))
+    feats = rng.normal(size=(n_paths, n_feat)) * rng.uniform(0.1, 10.0, n_feat)
+    # the last feature leans toward the first: from independent to near-collinear
+    near = feats[:, :1] + collinearity * rng.normal(size=(n_paths, 1))
+    design = np.column_stack([np.ones(n_paths), feats, near])
+    targets = rng.normal(size=(n_paths, cols))
+    if complex_targets:
+        targets = targets + 1j * rng.normal(size=(n_paths, cols))
+    scale = np.linalg.norm(design, axis=0) / np.sqrt(n_paths)
+    reference = np.linalg.cond(design / scale)
+    _, _, cond = project_expectation(design, targets, cond_threshold=np.inf)
+    assert abs(cond - reference) <= 1e-12 * reference * reference
+    project_expectation(design, targets, cond_threshold=reference * (1 + 1e-6))
+    with pytest.raises(IllConditioned):
+        project_expectation(design, targets, cond_threshold=reference * (1 - 1e-6))
 
 
 def test_regression_sigma_invariance_for_deterministic_data():

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,9 @@ from hypothesis import strategies as st
 
 from fracbspde.cli import _flags, _load_config, build_parser, main, run_verification
 from fracbspde.grid import Grid1D, GridFunction, write_field_csv
+
+# a subcommand reports a numerical failure as an error line, not as a numpy warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def read_csv(path):
@@ -321,6 +325,14 @@ def test_solve_bspde_off_grid_probe_exit_2(tmp_path, capsys):
         (("control", {"grid": {"n": 32, "x_min": 45.0, "x_max": 60.0}}), "grid"),
         # --method takes no argparse choices; the subcommand rejects a bad one
         (["fraclap", "--method", "bogus"], "method"),
+        # values out of their range, which exited 1 without a key path
+        (("kernel", {"alpha": 2.5}), "alpha"),
+        (["levy", "--alpha", "0.5"], "alpha"),
+        (["kernel", "--A", "0"], "A"),
+        (["fraclap", "--method", "integral", "--inner-cutoff", "0"], "inner_cutoff"),
+        (["fraclap", "--method", "integral", "--alpha", "2"], "alpha"),
+        (("solve-pde", {"a": "const:-1"}), "a"),
+        (("solve-bspde", {"a": "const:-1"}), "a"),
     ],
 )
 def test_config_type_and_grid_errors_exit_2(tmp_path, capsys, cfg, key):
@@ -469,7 +481,10 @@ def test_non_finite_solution_exits_1(tmp_path, capsys, command, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out.csv"
-    assert main([command, "--config", str(path), "--output", str(out)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(path), "--output", str(out)]) == 1
+    assert not caught  # the error line is the only report of the overflow
     err = capsys.readouterr().err
     assert "error: " in err and "not finite" in err and "Traceback" not in err
     # the subcommand names the run; an inner solver's name would misdirect
