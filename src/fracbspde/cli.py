@@ -34,7 +34,15 @@ from .bspde import (
     solve_pde_variable_coeff,
 )
 from .checks import CheckResult, check_ids, run_checks
-from .errors import ConfigError, FracBspdeError, MalformedInput, OffGridTime, PositivityViolation
+from .errors import (
+    ConfigError,
+    FracBspdeError,
+    MalformedInput,
+    OffGridTime,
+    OutOfRange,
+    PositivityViolation,
+    ResolutionError,
+)
 from .fraclap import SingularIntegralConfig, apply_singular_integral, apply_spectral
 from .grid import Grid1D, read_field_csv, time_indices, write_field_csv
 from .kernel import (
@@ -172,7 +180,10 @@ KERNEL_SCHEMA = {
 
 
 def cmd_kernel(cfg: dict) -> int:
-    params = KernelParams(cfg["alpha"], cfg["A"])
+    try:  # alpha is in range here; the scaling law bounds A from below
+        params = KernelParams(cfg["alpha"], cfg["A"])
+    except OutOfRange as exc:
+        raise ConfigError(str(exc), "A") from exc
     xs = np.linspace(-cfg["x_range"], cfg["x_range"], cfg["samples"])
     rows = zip(
         xs,
@@ -226,6 +237,12 @@ def cmd_fraclap(cfg: dict) -> int:
         raise ConfigError(f"method must be spectral or integral, got {cfg['method']!r}", "method")
     if cfg["method"] == "integral" and cfg["alpha"] == 2.0:
         raise ConfigError("the integral method needs alpha < 2; use the spectral method", "alpha")
+    try:  # the counts are in range here; the cutoff must be >= 1 dx
+        quad = SingularIntegralConfig(
+            inner_cutoff=cfg["inner_cutoff"], quadrature_points=cfg["quadrature_points"]
+        )
+    except ResolutionError as exc:
+        raise ConfigError(str(exc), "inner_cutoff") from exc
     if cfg["input"] is None:
         raise ConfigError("an input CSV is required", "input")
     try:
@@ -235,14 +252,7 @@ def cmd_fraclap(cfg: dict) -> int:
     if cfg["method"] == "spectral":
         out = apply_spectral(f, cfg["alpha"])
     else:
-        out = apply_singular_integral(
-            f,
-            cfg["alpha"],
-            SingularIntegralConfig(
-                inner_cutoff=cfg["inner_cutoff"],
-                quadrature_points=cfg["quadrature_points"],
-            ),
-        )
+        out = apply_singular_integral(f, cfg["alpha"], quad)
     write_field_csv(out, cfg["output"])
     return 0
 
@@ -313,12 +323,15 @@ PDE_SCHEMA = {
 }
 
 
-def _coefficient_a(cfg: dict) -> CoefficientA:
-    a_fn = parse_time_fn(cfg["a"], "a")
-    try:  # the diffusivity preset must be > 0 on [0, T]
-        return CoefficientA.from_callable(a_fn, t_max=cfg["T"])
+def _positive_on_horizon(fn, T: float, key: str) -> CoefficientA:
+    try:  # a diffusivity must be > 0 on [0, T]
+        return CoefficientA.from_callable(fn, t_max=T)
     except PositivityViolation as exc:
-        raise ConfigError(str(exc), "a") from exc
+        raise ConfigError(str(exc), key) from exc
+
+
+def _coefficient_a(cfg: dict) -> CoefficientA:
+    return _positive_on_horizon(parse_time_fn(cfg["a"], "a"), cfg["T"], "a")
 
 
 def _pde_data(cfg: dict) -> BSPDEData:
@@ -478,6 +491,8 @@ def cmd_zakai(cfg: dict) -> int:
     k_arr = parse_field(cfg["k"], grid, "k") if cfg["k"] else zeros
     h_arr = parse_field(cfg["h"], grid, "h") if cfg["h"] else zeros
     mu_fn = parse_time_fn(cfg["mu"], "mu")
+    # the filter's diffusivity is a(t) = |mu(t)|^alpha
+    _positive_on_horizon(lambda t: np.abs(mu_fn(t)) ** cfg["alpha"], cfg["T"], "mu")
     prob = ControlProblem(
         grid=grid,
         alpha=cfg["alpha"],

@@ -89,8 +89,10 @@ class SingularIntegralConfig:
     image_span: float = 16.0
 
     def __post_init__(self):
-        if self.inner_cutoff <= 0:
-            raise ResolutionError(f"inner_cutoff must be > 0, got {self.inner_cutoff}")
+        if not self.inner_cutoff >= 1.0:
+            raise ResolutionError(
+                f"inner_cutoff must be >= 1 (in units of dx), got {self.inner_cutoff}"
+            )
         if self.quadrature_points < 8:
             raise ResolutionError("quadrature_points must be >= 8")
         if self.image_span < 1.0:
@@ -132,8 +134,6 @@ def apply_singular_integral(
     g = f.grid
     dx = g.dx
     delta = cfg.inner_cutoff * dx
-    if delta < dx - 1e-12 * dx:
-        raise ResolutionError(f"inner cutoff {delta} below grid spacing {dx}")
     radius = cfg.resolve_radius(g)
 
     # periodic cubic spline so off-grid z offsets stay interpolation-only

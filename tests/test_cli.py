@@ -333,6 +333,10 @@ def test_solve_bspde_off_grid_probe_exit_2(tmp_path, capsys):
         (["fraclap", "--method", "integral", "--alpha", "2"], "alpha"),
         (("solve-pde", {"a": "const:-1"}), "a"),
         (("solve-bspde", {"a": "const:-1"}), "a"),
+        # positive values that the solvers still cannot take
+        (["kernel", "--A", "1e-300"], "A"),
+        (["fraclap", "--method", "integral", "--inner-cutoff", "0.5"], "inner_cutoff"),
+        ({"mu": "const:0"}, "mu"),
     ],
 )
 def test_config_type_and_grid_errors_exit_2(tmp_path, capsys, cfg, key):

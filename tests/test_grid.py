@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracbspde import grid as grid_module
 from fracbspde.errors import (
     EmptyEnsemble,
     GridMismatch,
@@ -18,6 +19,7 @@ from fracbspde.grid import (
     derivative_multiplier,
     ensemble_process_norms,
     holder_seminorm,
+    pair_offsets,
     read_field_csv,
     time_indices,
     write_field_csv,
@@ -224,6 +226,120 @@ def test_ensemble_norms_l2_kind():
     # constant-in-time field: trapezoid time integral = T * phi(x)^2, T = (times-1) dt
     T = (times - 1) * dt
     assert rep.sup_norm == pytest.approx(np.sqrt(T) * np.abs(prof).max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["s2", "l2"])
+def test_ensemble_norms_reject_non_finite_values(bad, kind):
+    # max(0.0, nan) is 0.0: without the check a NaN would vanish from the seminorm
+    g = Grid1D(-4.0, 4.0, 32)
+    vals = np.random.default_rng(5).standard_normal((3, 4, g.n))
+    vals[1, 2, 7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ensemble_process_norms(vals, g, dt=0.1, beta=0.5, kind=kind)
+
+
+def _exhaustive_norms(values, g, dt, beta, kind, exact_limit):
+    """The ensemble norms with every pair offset evaluated: the reference
+    that the screened search must reproduce bit for bit."""
+    arr = np.asarray(values, dtype=float)
+    reduce = grid_module._ensemble_time_reduce
+    per_x = reduce(arr**2, dt, kind).mean(axis=0)
+    sup = float(np.sqrt(per_x.max()))
+    semi = 0.0
+    for m in pair_offsets(g.n, exact_limit=exact_limit):
+        diff_sq = (arr[:, :, m:] - arr[:, :, :-m]) ** 2
+        per_pair = reduce(diff_sq, dt, kind).mean(axis=0)
+        semi = max(semi, float(np.sqrt(per_pair.max())) / (m * g.dx) ** beta)
+    return sup, semi
+
+
+def _ensemble_of_class(cls, shape, g, beta, rng):
+    paths, times, n = shape
+    x = g.x
+    row = rng.standard_normal((paths, times, 1))
+    if cls == "constant":
+        return np.broadcast_to(row, shape).copy()
+    if cls == "near-constant":
+        return row + 1e-12 * rng.standard_normal(shape)
+    if cls == "large-offset":
+        return 1e8 + np.cumsum(rng.standard_normal(shape), axis=2)
+    if cls == "rough":
+        return rng.standard_normal(shape)
+    if cls == "smooth":
+        return row * np.sin(2 * np.pi * x / g.length + rng.uniform(0, 2 * np.pi))
+    if cls == "bump":
+        # two narrow bumps of opposite sign far apart: the argmax pair spans them
+        i, j = rng.choice(n, 2, replace=False)
+        width = 0.6 * g.dx
+        bumps = np.exp(-(((x - x[i]) / width) ** 2)) - np.exp(-(((x - x[j]) / width) ** 2))
+        return (1.0 + 0.01 * row) * bumps
+    if cls == "cusp":
+        # |x - x0|^beta: every pair with x0 has the same quotient, up to rounding
+        x0 = x[rng.integers(n)]
+        return row + np.abs(x - x0) ** beta
+    if cls == "tiny":
+        # differences whose squares underflow to subnormals
+        return 10.0 ** rng.uniform(-170, -150) * rng.standard_normal(shape)
+    raise ValueError(cls)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    cls=st.sampled_from(
+        ["constant", "near-constant", "large-offset", "rough", "smooth", "bump", "cusp", "tiny"]
+    ),
+    paths=st.integers(1, 4),
+    times=st.integers(1, 5),
+    n=st.sampled_from([8, 16, 32, 64, 128]),
+    half_length=st.floats(0.5, 50.0),
+    beta=st.floats(0.01, 0.99),
+    kind=st.sampled_from(["s2", "l2"]),
+    dt=st.floats(1e-3, 10.0),
+    limit_below_n=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ensemble_norms_bit_identical_to_every_offset(
+    cls, paths, times, n, half_length, beta, kind, dt, limit_below_n, seed
+):
+    g = Grid1D(-half_length, half_length, n)
+    vals = _ensemble_of_class(cls, (paths, times, n), g, beta, np.random.default_rng(seed))
+    exact_limit = n // 2 if limit_below_n else 512
+    rep = ensemble_process_norms(vals, g, dt=dt, beta=beta, kind=kind, exact_limit=exact_limit)
+    sup, semi = _exhaustive_norms(vals, g, dt, beta, kind, exact_limit)
+    assert rep.sup_norm == sup
+    assert rep.holder_seminorm == semi
+
+
+def test_ensemble_norms_screen_prunes_smooth_ensembles(monkeypatch):
+    # a smooth (32, 25, 512) ensemble, built as the random-terminal holder
+    # instances are: a few low Fourier modes times an affine factor of W_t
+    g = Grid1D(-32.0, 32.0, 512)
+    rng = np.random.default_rng(0)
+    k = np.arange(1, 5)
+    coefs = rng.standard_normal((2, 4)) / (1.0 + k)
+    xi = 2 * np.pi * k[:, None] / g.length
+    prof = coefs[0] @ np.cos(xi * g.x) + coefs[1] @ np.sin(xi * g.x)
+    w = np.cumsum(rng.normal(0.0, 0.2, (32, 25)), axis=1)
+    smooth = (1.0 + w)[:, :, None] * prof
+
+    reduce = grid_module._ensemble_time_reduce
+    evaluated = []
+
+    def counting(sq, dt, kind):
+        if sq.shape[-1] < g.n:  # a pair-offset difference array
+            evaluated.append(g.n - sq.shape[-1])
+        return reduce(sq, dt, kind)
+
+    monkeypatch.setattr(grid_module, "_ensemble_time_reduce", counting)
+    # a large constant offset must not widen the bounds: the screen centres each row
+    for vals in (smooth, 1e8 + smooth):
+        ensemble_process_norms(vals, g, dt=1 / 24, beta=0.6, kind="l2")
+        assert len(evaluated) <= 3
+        evaluated.clear()
+        ensemble_process_norms(vals, g, dt=1 / 24, beta=0.6, kind="s2")
+        assert len(evaluated) <= 0.25 * (g.n - 1)
+        evaluated.clear()
 
 
 def test_field_arithmetic_and_grid_mismatch():
