@@ -614,8 +614,8 @@ def regress_backward(
     for i in range(n_steps - 1, -1, -1):
         design = design_matrix(w_cum, i, coarse_steps)
         targets = np.hstack([Y * (increments[:, i][:, None] / dt), Y + dt * drift(i, Y)])
-        fitted, se, cond = project_expectation(design, targets, cond_threshold)
-        Z, se = fitted[:, :cols], se[:cols]
+        fitted, se, cond = project_expectation(design, targets, cond_threshold, se_cols=cols)
+        Z = fitted[:, :cols]
         Y = fitted[:, cols:] + dt * vol(i) * Z
         max_cond = max(max_cond, cond)
         if i == n_steps - 1 and n_steps in pos:

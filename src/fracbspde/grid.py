@@ -250,7 +250,8 @@ def ensemble_process_norms(
 ) -> NormReport:
     """Monte-Carlo estimators of the process-valued sup and Holder norms.
 
-    values has shape (paths, times, n) and must be finite. kind = "s2"
+    values has shape (paths, times, n) and must be finite, and the time
+    step dt finite and positive. kind = "s2"
     reduces time by a sup (pathwise running maximum), kind = "l2" by a
     trapezoid time integral; the path axis is always reduced by a mean, the
     space axis by sup / Holder quotients over the pair-offset set.
@@ -291,6 +292,8 @@ def ensemble_process_norms(
     """
     if not 0.0 < beta < 1.0:
         raise InvalidExponent(f"beta must lie in (0,1), got {beta}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 2:  # single path
         arr = arr[None, :, :]

@@ -31,10 +31,14 @@ def design_matrix(
 
 
 def project_expectation(
-    design: np.ndarray, targets: np.ndarray, cond_threshold: float = 1e8
+    design: np.ndarray,
+    targets: np.ndarray,
+    cond_threshold: float = 1e8,
+    se_cols: int | None = None,
 ):
-    """Projection of targets onto the design span: fitted values, per-column
-    fitted-value standard error, and the design condition number."""
+    """Projection of targets onto the design span: fitted values, the
+    fitted-value standard error of the first se_cols target columns (all when
+    None), and the design condition number."""
     scale = np.linalg.norm(design, axis=0) / np.sqrt(design.shape[0])
     keep = scale > 0.0  # all-zero features carry no information
     X = design[:, keep] / scale[keep]
@@ -47,6 +51,12 @@ def project_expectation(
             "raise the path count or lower the basis degree"
         )
     fitted = X @ coef
-    resid_var = np.mean(np.abs(targets - fitted) ** 2, axis=0)
+    if se_cols is None:
+        resid_var = np.mean(np.abs(targets - fitted) ** 2, axis=0)
+    else:
+        # numpy sums one column pairwise but several row by row: reading at
+        # least two keeps each mean bit-identical to the all-column one
+        read = min(max(se_cols, 2), targets.shape[1])
+        resid_var = np.mean(np.abs(targets[:, :read] - fitted[:, :read]) ** 2, axis=0)[:se_cols]
     se_fit = np.sqrt(resid_var * X.shape[1] / X.shape[0])
     return fitted, se_fit, cond

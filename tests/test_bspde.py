@@ -496,6 +496,37 @@ def test_projection_cond_is_the_design_cond(seed, n_feat, collinearity, cols, co
         project_expectation(design, targets, cond_threshold=reference * (1 - 1e-6))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_feat=st.integers(1, 6),
+    cols=st.integers(1, 5),
+    extra=st.integers(0, 5),
+    complex_targets=st.booleans(),
+    zero_feature=st.booleans(),
+)
+def test_projection_standard_errors_of_leading_columns(
+    seed, n_feat, cols, extra, complex_targets, zero_feature
+):
+    # se_cols computes the standard errors of the leading columns only; every
+    # output must equal the all-column computation bit for bit, including a
+    # single column and a design with a dropped all-zero feature
+    rng = np.random.default_rng(seed)
+    n_paths = int(rng.integers(4 * n_feat + 4, 400))
+    design = np.column_stack([np.ones(n_paths), rng.normal(size=(n_paths, n_feat))])
+    if zero_feature:
+        design[:, -1] = 0.0
+    targets = rng.normal(size=(n_paths, cols + extra))
+    if complex_targets:
+        targets = targets + 1j * rng.normal(size=targets.shape)
+    fitted_all, se_all, cond_all = project_expectation(design, targets)
+    fitted, se, cond = project_expectation(design, targets, se_cols=cols)
+    assert se.shape == (cols,)
+    assert np.array_equal(fitted, fitted_all)
+    assert np.array_equal(se, se_all[:cols])
+    assert cond == cond_all
+
+
 def test_regression_sigma_invariance_for_deterministic_data():
     # with deterministic data the Girsanov factor integrates out: u must not
     # depend on sigma beyond replication noise

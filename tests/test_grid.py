@@ -239,6 +239,16 @@ def test_ensemble_norms_reject_non_finite_values(bad, kind):
         ensemble_process_norms(vals, g, dt=0.1, beta=0.5, kind=kind)
 
 
+@pytest.mark.parametrize("dt", [-0.1, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["s2", "l2"])
+def test_ensemble_norms_reject_bad_time_step(dt, kind):
+    # a negative or NaN trapezoid weight gave sup_norm = nan, holder_seminorm = 0.0
+    g = Grid1D(-4.0, 4.0, 32)
+    vals = np.random.default_rng(6).standard_normal((3, 4, g.n))
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        ensemble_process_norms(vals, g, dt=dt, beta=0.5, kind=kind)
+
+
 def _exhaustive_norms(values, g, dt, beta, kind, exact_limit):
     """The ensemble norms with every pair offset evaluated: the reference
     that the screened search must reproduce bit for bit."""

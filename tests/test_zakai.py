@@ -1,8 +1,21 @@
+import itertools
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracbspde.bspde import BSPDEData, solve_pde_variable_coeff
-from fracbspde.errors import BlowUp, BudgetExceeded, OffGridTime, PositivityViolation
+from fracbspde import zakai
+from fracbspde.errors import (
+    BlowUp,
+    BudgetExceeded,
+    OffGridTime,
+    PositivityViolation,
+    StabilityError,
+)
 from fracbspde.grid import Grid1D
 from fracbspde.kernel import CoefficientA, apply_semigroup_A
 from fracbspde.grid import GridFunction, apply_multiplier, derivative_multiplier, time_indices
@@ -316,6 +329,144 @@ def test_brute_force_single_policy_and_budget():
     prob3 = make_problem(U=(0.0, 1.0))
     with pytest.raises(BudgetExceeded):
         brute_force_optimal_control(prob3, n_intervals=4, y_inc=y_inc, n_steps=8, budget=8)
+
+
+def per_policy_search(prob, n_intervals, y_inc, n_steps):
+    """cost_functional on each policy in turn: the search the prefix tree
+    must reproduce bit for bit."""
+    table, best = [], None
+    for values in itertools.product(sorted(prob.U), repeat=n_intervals):
+        policy = ControlPolicy.uniform(values, prob.T)
+        est = cost_functional(prob, policy, y_inc, n_steps=n_steps)
+        table.append((values, est.mean, est.stderr))
+        if best is None or est.mean < best[1] - 1e-15:
+            best = (policy, est.mean, est.stderr)
+    return table, best
+
+
+SMALL = Grid1D(-8.0, 8.0, 32)
+
+
+def time_dependent_problem(U, c, k=None, T=0.5):
+    # every coefficient depends on time; c holds random amplitudes and phases
+    weight = np.minimum((SMALL.x - c[0]) ** 2, 9.0)
+    return ControlProblem(
+        grid=SMALL,
+        alpha=1.2 + 0.7 * c[1],
+        T=T,
+        mu=lambda t: 1.0 + 0.4 * np.sin(7.0 * t + c[2]),
+        k=k or (lambda t, v: v * (1.0 + c[3] * np.sin(5.0 * t)) * np.cos(SMALL.x / 3.0 + c[4])),
+        h=lambda t: (0.2 + c[5] + t) * np.tanh(SMALL.x / 4.0),
+        f=lambda t, v: (1.0 + t * v) * weight + c[6] * np.sin(SMALL.x) * v,
+        g=weight,
+        U=U,
+        p0=gaussian_density(SMALL),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_intervals=st.integers(1, 3),
+    U=st.lists(st.sampled_from([-0.6, -0.25, 0.0, 0.3, 0.6]), min_size=1, max_size=3),
+    n_steps=st.sampled_from([7, 10, 12]),
+    T=st.sampled_from([0.5, 0.9]),
+    n_paths=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_brute_force_tree_equals_per_policy_search(n_intervals, U, n_steps, T, n_paths, seed):
+    # U unsorted and with repeats; step counts 7 and 10 put interval
+    # boundaries between steps for some m, and at T = 0.9 the nodes 5 of 10
+    # and 6 of 12 round to just below the middle edge, so value_at puts them
+    # in the first of two intervals
+    rng = np.random.default_rng(seed)
+    prob = time_dependent_problem(tuple(U), rng.uniform(0.0, 1.0, 7), T=T)
+    y_inc = rng.normal(0.0, np.sqrt(prob.T / n_steps), (n_paths, n_steps))
+    res = brute_force_optimal_control(prob, n_intervals, y_inc, n_steps=n_steps)
+    table, (policy, cost, stderr) = per_policy_search(prob, n_intervals, y_inc, n_steps)
+    assert res.table == table
+    assert res.policy == policy
+    assert res.cost == cost
+    assert res.stderr == stderr
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([-0.6, 0.0, 0.3, 0.6]), min_size=1, max_size=3),
+    n_steps=st.sampled_from([7, 10, 12]),
+    T=st.sampled_from([0.5, 0.9]),
+    n_paths=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(values=[0.6, -0.6], n_steps=10, T=0.9, n_paths=3, seed=1)  # node 5 rounds into interval 0
+def test_cost_functional_is_the_filter_running_cost(values, n_steps, T, n_paths, seed):
+    # an independent reference: the left-rectangle cost read off solve_zakai,
+    # which takes each step's control from policy.value_at(t_i)
+    rng = np.random.default_rng(seed)
+    prob = time_dependent_problem((0.0,), rng.uniform(0.0, 1.0, 7), T=T)
+    y_inc = rng.normal(0.0, np.sqrt(T / n_steps), (n_paths, n_steps))
+    policy = ControlPolicy.uniform(values, T)
+    p = solve_zakai(prob, policy, y_inc, n_steps=n_steps).p
+    times = np.linspace(0.0, T, n_steps + 1)
+    running = np.zeros(n_paths)
+    for i, t in enumerate(times[:-1]):
+        f_field = prob.f(t, policy.value_at(t))
+        running += T / n_steps * (np.ascontiguousarray(p[:, i]) @ f_field) * SMALL.dx
+    per_path = running + (np.ascontiguousarray(p[:, -1]) @ prob.g) * SMALL.dx
+    est = cost_functional(prob, policy, y_inc, n_steps=n_steps)
+    assert est.mean == float(per_path.mean())
+    assert est.stderr == float(per_path.std(ddof=1) / np.sqrt(n_paths))
+
+
+@pytest.mark.parametrize("n_intervals", [1, 2, 3])
+@pytest.mark.parametrize("nan_value, cfl_value", [(0.3, 0.6), (0.6, 0.3), (0.3, None), (None, 0.3)])
+def test_brute_force_raises_what_the_per_policy_search_raises(n_intervals, nan_value, cfl_value):
+    # only later policies fail: one control value turns the transport field
+    # NaN after t = 0.15 (a blow-up at a policy-dependent step; the CFL
+    # check skips NaN); another breaks the CFL rule from t = 0.15 on and
+    # turns NaN after t = 0.3, so its CFL check must come before its steps
+    def k(t, v):
+        if v == nan_value and t > 0.15 or v == cfl_value and t > 0.3:
+            return np.full(SMALL.n, np.nan)
+        return np.full(SMALL.n, 40.0 if v == cfl_value and t > 0.15 else v)
+
+    prob = time_dependent_problem((0.6, 0.0, 0.3), np.full(7, 0.5), k=k)
+    n_steps = 12
+    y_inc = np.random.default_rng(7).normal(0.0, 0.2, (3, n_steps))
+    cost_functional(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps)
+    with pytest.raises((BlowUp, StabilityError)) as ref:
+        per_policy_search(prob, n_intervals, y_inc, n_steps)
+    with pytest.raises(ref.type, match=f"^{re.escape(str(ref.value))}$"):
+        brute_force_optimal_control(prob, n_intervals, y_inc, n_steps=n_steps)
+
+
+@pytest.mark.parametrize("n_paths, runs", [(64, 2), (600, 3)])
+def test_maximum_principle_reuses_the_full_run_as_fine_probe(monkeypatch, n_paths, runs):
+    prob = drift_target_problem()
+    n_steps = 8
+    y_inc = simulate_brownian_increments(PathGrid(0.0, prob.T, n_steps), RngStream(103), n_paths)
+    policy = ControlPolicy.uniform((0.0, 0.5), prob.T)
+    calls = Counter()
+    for name in ("solve_zakai", "solve_adjoint"):
+        def counted(*args, _fn=getattr(zakai, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(zakai, name, counted)
+    rep = verify_maximum_principle(prob, policy, y_inc, n_steps=n_steps)
+    assert calls == {"solve_zakai": runs, "solve_adjoint": runs}
+    monkeypatch.undo()
+    # forced recomputation: the fine and the coarse probe on the first 512 paths
+    sub = y_inc[:512]
+    fine = verify_maximum_principle(prob, policy, sub, n_steps, discretization_estimate=0.0)
+    coarse = verify_maximum_principle(
+        prob, policy, sub.reshape(len(sub), n_steps // 2, 2).sum(axis=2), n_steps // 2,
+        discretization_estimate=0.0,
+    )
+    assert [(e.t, e.v) for e in fine.entries] == [(e.t, e.v) for e in coarse.entries]
+    estimate = max(abs(a.margin - b.margin) for a, b in zip(fine.entries, coarse.entries))
+    assert rep == verify_maximum_principle(
+        prob, policy, y_inc, n_steps, discretization_estimate=estimate
+    )
 
 
 def drift_target_problem(U=(-0.5, 0.0, 0.5), T=0.5):
