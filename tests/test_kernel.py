@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fracbspde.errors import (
@@ -11,6 +13,7 @@ from fracbspde.errors import (
 from fracbspde.fraclap import apply_spectral
 from fracbspde.grid import Grid1D, GridFunction
 from fracbspde.kernel import (
+    X_SWITCH,
     CoefficientA,
     KernelParams,
     apply_semigroup_A,
@@ -23,6 +26,11 @@ from fracbspde.kernel import (
     kernel_cdf,
     semigroup_apply,
     verify_kernel_bounds,
+    _cdf_table,
+    _far_rule,
+    _graded_rule,
+    _kernel_transform,
+    _near_rule,
 )
 
 INV_TWO_SQRT_PI = 0.28209479177387814  # 1/(2 sqrt(pi)) = Gaussian kernel at x=0
@@ -234,6 +242,20 @@ def test_kernel_cdf_basic_properties():
     assert vals[0] < 1e-3 and vals[-1] > 1 - 1e-3
 
 
+def test_kernel_cdf_table_is_built_once_per_alpha():
+    first = kernel_cdf(1.5, A=0.4)
+    before = _cdf_table.cache_info()
+    second = kernel_cdf(1.5, A=0.4)
+    rescaled = kernel_cdf(1.5, A=2.0)
+    after = _cdf_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    xs = np.linspace(-300.0, 300.0, 601)
+    assert np.array_equal(first(xs), second(xs))
+    # A only rescales x, so both A read the same table
+    assert np.allclose(rescaled(xs), first(xs * (2.0 / 0.4) ** (-1.0 / 1.5)), rtol=0, atol=1e-15)
+    assert not any(a.flags.writeable for a in _cdf_table(1.5))
+
+
 def test_verify_kernel_bounds_stability():
     checks = verify_kernel_bounds(1.5, beta=0.6, base_n=1001)
     by_id = {c.check_id: c for c in checks}
@@ -303,3 +325,76 @@ def test_verify_kernel_bounds_reads_base_grid_off_refined_grid(alpha):
     for c in checks:
         assert c.constant == pytest.approx(base[c.check_id], rel=1e-12), c.check_id
         assert c.refined_constant == pytest.approx(refined[c.check_id], rel=1e-12), c.check_id
+
+
+def _complex_half_line_transform(x, alpha, power):
+    """The complex-arithmetic form of H_p(x), x >= 0, that the real rules replaced."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
+    near = x <= X_SWITCH
+    if np.any(near):
+        xi_max = (-np.log(1e-15)) ** (1.0 / alpha)
+        nodes, weights = _graded_rule(min(0.25, 2.0 / X_SWITCH), xi_max)
+        w = weights * nodes**power * np.exp(-(nodes**alpha))
+        out[near] = np.exp(-1j * np.outer(x[near], nodes)) @ w
+    if np.any(~near):
+        s_nodes, s_weights = _graded_rule(0.35, 45.0)
+        theta = (alpha - 1.0) * np.pi / (2.0 * alpha)
+        pref = np.exp(-1j * (power + 1.0) * np.pi / (2.0 * alpha))
+        xv = x[~near][:, None]
+        cos_t = np.cos(theta)
+        lam = s_nodes[None, :] / (xv * cos_t)
+        integ = lam**power * np.exp(-lam * xv * np.exp(1j * theta) + 1j * lam**alpha)
+        out[~near] = pref * (integ * s_weights[None, :]).sum(axis=1) / (xv[:, 0] * cos_t)
+    return out
+
+
+def _complex_kernel_transform(x, alpha, power, k):
+    xv = np.asarray(x, dtype=float)
+    h = _complex_half_line_transform(np.abs(xv), alpha, power)
+    vals = np.real((-1j) ** k * h if k else h) / np.pi
+    return np.where(xv < 0, -vals, vals) if k % 2 == 1 else vals
+
+
+# every (power, k) the kernel evaluates: D^k G has (k, k), (-Delta)^(gamma/2) G has (gamma, 0)
+_ORDERS = st.one_of(
+    st.sampled_from([(0.0, 0), (1.0, 1), (2.0, 2), (3.0, 3)]),
+    st.floats(0.0, 2.0, exclude_min=True, exclude_max=True).map(lambda g: (g, 0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(alpha=1.5, order=(3.0, 3), near=[1.0], far=[-20.0])
+@example(alpha=2.0, order=(1.0, 1), near=[-X_SWITCH], far=[400.0])
+@given(
+    alpha=st.floats(1.0, 2.0, exclude_min=True),
+    order=_ORDERS,
+    near=st.lists(st.floats(-X_SWITCH, X_SWITCH), min_size=1, max_size=16),
+    far=st.lists(
+        st.floats(X_SWITCH, 400.0, exclude_min=True).flatmap(
+            lambda x: st.sampled_from([x, -x])
+        ),
+        min_size=1,
+        max_size=16,
+    ),
+)
+def test_real_kernel_transform_matches_complex_form(alpha, order, near, far):
+    # the kernel's own scale (its values around the origin) is part of every
+    # draw, so the bound is relative to max |G| and not to a far-field tail
+    # that is all round-off at alpha = 2
+    power, k = order
+    xs = np.concatenate([near, far, np.linspace(-2 * X_SWITCH, 2 * X_SWITCH, 33)])
+    old = _complex_kernel_transform(xs, alpha, power, k)
+    new = _kernel_transform(xs, alpha, power, k)
+    assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.9])
+def test_near_and_far_rules_agree_on_the_overlap(alpha):
+    # measured largest gap on [6, 10]: 1.28e-12 at alpha = 1.05, p = 3, below
+    # 5e-14 for alpha >= 1.5; it is the near rule's cut at exp(-xi^alpha) = 1e-15,
+    # where xi^3 is 2.4e4 (a cut at 1e-22 closes it to 3.4e-16)
+    xs = np.linspace(6.0, 10.0, 401)
+    for p in range(4):
+        gap = np.abs(_near_rule(xs, alpha, float(p), p) - _far_rule(xs, alpha, float(p), p))
+        assert gap.max() < 2e-12, (alpha, p, gap.max())

@@ -174,6 +174,21 @@ def test_zakai_blowup_guard():
         solve_zakai(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps, guard=10.0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e3])
+def test_zakai_step_guard_trips_on_nan_inf_and_values_over_it(bad):
+    # one path's row set to NaN, +inf or 1e3 times the guard level; with no
+    # transport and no observation the step keeps that row constant
+    prob = make_problem()
+    steps = zakai._ZakaiSteps(prob, np.zeros((2, 4)), 4, guard=10.0)
+    p = steps.p0.copy()
+    p[1] = bad * steps.guard_level
+    msg = "density norm exceeded the blow-up guard at step 1/4; reduce the step size"
+    with pytest.raises(BlowUp, match=re.escape(msg)):
+        steps.step(0, p, 0.0)
+    assert np.all(np.isfinite(steps.step(0, steps.p0, 0.0)))
+
+
 def test_problem_validation():
     with pytest.raises(PositivityViolation):
         make_problem(p0=np.ones(GRID.n))  # mass is not 1
