@@ -375,6 +375,13 @@ def solve_pde_variable_coeff(
     -(a - a_bar) (-Delta)^(alpha/2) u + (b - b_bar) u_x + (c - c_bar) u + f
     is stepped explicitly, giving first-order temporal convergence and
     exactness whenever the residual vanishes.
+
+    The frozen one-step factors (exp of the frozen symbol over the step and
+    the Simpson weights of the load) depend only on (A_half, A_full, c_bar,
+    b_bar), the in-step integrals of a_bar and the frozen means.  They are
+    rebuilt only when one of these four changes its bit pattern (so -0.0
+    differs from 0.0 and a NaN always rebuilds): once per solve for
+    time-constant coefficients, every step for time-varying ones.
     """
     g = data.grid
     times = np.linspace(0.0, data.T, n_steps + 1)
@@ -410,6 +417,7 @@ def solve_pde_variable_coeff(
     u_hat = np.fft.fft(data.deterministic_g()).astype(complex)
     store: dict[int, np.ndarray] = {n_steps: np.real(np.fft.ifft(u_hat))}
     quarter = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    frozen_key = None  # bit pattern of the (A_half, A_full, c_bar, b_bar) behind mult, w_load
     for i in range(n_steps - 1, -1, -1):
         t_hi = times[i + 1]
         a_bars = np.array(
@@ -429,11 +437,14 @@ def solve_pde_variable_coeff(
         # coefficient is propagated to quadrature accuracy.
         A_half = dt / 12.0 * (a_bars[0] + 4.0 * a_bars[1] + a_bars[2])
         A_full = A_half + dt / 12.0 * (a_bars[2] + 4.0 * a_bars[3] + a_bars[4])
-        exp_half = -A_half * lam + 0.5 * cbar * dt + 0.5 * d1 * bbar * dt
-        exp_full = -A_full * lam + cbar * dt + d1 * bbar * dt
-        mult = np.exp(exp_full)
-        # in-step Simpson of the s -> t_i factor, for the explicit load
-        w_load = dt / 6.0 * (1.0 + 4.0 * np.exp(exp_half) + mult)
+        key = np.array([A_half, A_full, cbar, bbar])
+        if key.tobytes() != frozen_key:
+            exp_half = -A_half * lam + 0.5 * cbar * dt + 0.5 * d1 * bbar * dt
+            exp_full = -A_full * lam + cbar * dt + d1 * bbar * dt
+            mult = np.exp(exp_full)
+            # in-step Simpson of the s -> t_i factor, for the explicit load
+            w_load = dt / 6.0 * (1.0 + 4.0 * np.exp(exp_half) + mult)
+            frozen_key = None if np.isnan(key).any() else key.tobytes()
 
         u_field = store[i + 1]
         frac_u = np.real(np.fft.ifft(lam * u_hat))
@@ -854,6 +865,78 @@ class ProbeResult:
         return self.discrepancy <= self.tolerance
 
 
+class _PeriodicStencil:
+    """np.interp(x, grid.x, field, period=grid.length), byte for byte, for
+    many fields at the same particle array x.
+
+    The node table takes the steps of np.interp's periodic branch: the nodes
+    reduced mod L and sorted, with the two wrap nodes added.  Each new x is
+    located once: j with xp[j] <= x % L < xp[j+1], from one division by the
+    node spacing corrected by one node each way.  The last x is recognised
+    by identity, so it must not be written to between calls.  A field at the
+    located x is then numpy's compiled formula slope[j] (xm - xp[j]) + fp[j]
+    with slope[j] = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) and its special
+    cases: xm == xp[j] gives fp[j] (xm == xp[-1], which x % L == L reaches
+    when a node is 0 mod L, among them), and a NaN x gives NaN.
+    """
+
+    def __init__(self, grid: Grid1D):
+        self.period = grid.length
+        xp = np.asarray(grid.x, dtype=np.float64) % self.period
+        self.order = np.argsort(xp)
+        xp = xp[self.order]
+        self.xp = np.concatenate((xp[-1:] - self.period, xp, xp[0:1] + self.period))
+        self.dxp = np.diff(self.xp)
+        self.h = (self.xp[-1] - self.xp[0]) / (self.xp.size - 1)
+        # the estimate is monotone in x, so it is within one node of every
+        # interval once it is at most one below each node
+        lag = np.arange(self.xp.size) - self._estimate(self.xp)
+        if not (np.all(self.dxp > 0) and np.all((lag == 0) | (lag == 1))):
+            raise ValueError("grid nodes mod L are not uniform enough to locate particles")
+        self._x = None
+
+    def _estimate(self, xm: np.ndarray) -> np.ndarray:
+        """floor((xm - xp[0]) / h) clipped to [0, m - 2]; 0 for a NaN xm."""
+        q = np.subtract(xm, self.xp[0])
+        q /= self.h
+        np.floor(q, out=q)
+        np.fmax(q, 0.0, out=q)
+        np.fmin(q, self.xp.size - 2, out=q)
+        return q.astype(np.intp)
+
+    def table(self, field: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+        """(fp, slope) of a grid field; slope[-1] = 0 serves xm == xp[-1]."""
+        fs = np.asarray(field, dtype=np.float64)[self.order]
+        fp = np.concatenate((fs[-1:], fs, fs[0:1]))
+        slope = np.zeros(fp.size)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            np.divide(np.diff(fp), self.dxp, out=slope[:-1])
+        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(slope))):
+            raise BlowUp(f"{what} is not finite on the grid: cannot interpolate it")
+        return fp, slope
+
+    def __call__(self, x: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        if x is not self._x:
+            # x % L as numpy computes it: the exact fmod, plus L where it is
+            # negative (adding 0.0 elsewhere turns -0.0 into +0.0)
+            xm = np.fmod(np.asarray(x, dtype=np.float64), self.period)
+            xm += (xm < 0) * self.period
+            j = self._estimate(xm)
+            xp_j = np.take(self.xp, j)
+            j -= xm < xp_j
+            j += xm >= np.take(self.xp[1:], j, out=xp_j)
+            np.take(self.xp, j, out=xp_j)
+            node = np.nonzero(xm == xp_j)
+            self._x, self._j, self._d = x, j, np.subtract(xm, xp_j, out=xm)
+            self._node, self._node_j = node, j[node]
+        fp, slope = table
+        out = slope[self._j]
+        out *= self._d
+        out += fp[self._j]
+        out[self._node] = fp[self._node_j]
+        return out
+
+
 def fbsde_crosscheck(
     data: BSPDEData,
     probes: Sequence[tuple[float, float]],
@@ -868,6 +951,12 @@ def fbsde_crosscheck(
     + int_t^T e^{int c} f ds | X_t = x] for dX = b dt + a^{1/alpha} dM.
     The grid bound per probe is the observed solver drift under halving the
     step count, plus a round-off floor.
+
+    The particles see the grid fields (g, f, c, b, a_xt) through one shared
+    periodic stencil: each step's particle array is located once on the
+    uniform grid, and every field at it costs a gather and a multiply-add.
+    The values equal np.interp(x, grid.x, field, period=grid.length) byte
+    for byte, its special cases included.  A non-finite field raises BlowUp.
     """
     g = data.grid
     has_var_coeff = data.b is not None or data.c is not None or data.a_xt is not None
@@ -880,17 +969,19 @@ def fbsde_crosscheck(
     fine = solve(n_steps_solver)
     coarse = solve(n_steps_solver // 2)
 
-    def at_particles(field_fn):
+    stencil = _PeriodicStencil(g)
+
+    def at_particles(field_fn, what):
         """t -> field on the grid becomes (t, x) -> its periodic interpolation at x."""
         def fn(t, x):
-            return np.interp(x, g.x, np.asarray(field_fn(t), dtype=float), period=g.length)
+            return stencil(x, stencil.table(field_fn(t), f"{what}(t={t})"))
 
         return fn
 
     def a_const(t, x):
         return data.a(np.asarray([t]))[0] * np.ones_like(x)
 
-    g_arr = data.deterministic_g()
+    g_table = stencil.table(data.deterministic_g(), "g")
     f_dt = data.deterministic_f()
 
     results = []
@@ -899,11 +990,11 @@ def fbsde_crosscheck(
         pde_val = float(fine.u_at(t)[xi_idx])
         bound = abs(pde_val - float(coarse.u_at(t)[xi_idx])) + 1e-10
         mc = feynman_kac_estimate(
-            g=lambda y: np.interp(y, g.x, g_arr, period=g.length),
-            f=None if f_dt is None else at_particles(f_dt),
-            c=None if data.c is None else at_particles(data.c),
-            b=None if data.b is None else at_particles(data.b),
-            a=a_const if data.a_xt is None else at_particles(data.a_xt),
+            g=lambda y: stencil(y, g_table),
+            f=None if f_dt is None else at_particles(f_dt, "f"),
+            c=None if data.c is None else at_particles(data.c, "c"),
+            b=None if data.b is None else at_particles(data.b, "b"),
+            a=a_const if data.a_xt is None else at_particles(data.a_xt, "a_xt"),
             alpha=data.alpha,
             x=float(g.x[xi_idx]),
             t=t,

@@ -85,12 +85,25 @@ def sample_stable(alpha: float, dt: float, rng: np.random.Generator, size=None):
         return rng.normal(0.0, np.sqrt(2.0 * dt), size)
     u = rng.uniform(-np.pi / 2, np.pi / 2, size)
     e = rng.exponential(1.0, size)
-    s = (
-        np.sin(alpha * u)
-        / np.cos(u) ** (1.0 / alpha)
-        * (np.cos((alpha - 1.0) * u) / e) ** ((1.0 - alpha) / alpha)
-    )
-    return dt ** (1.0 / alpha) * s
+    if np.ndim(u) == 0:
+        s = (
+            np.sin(alpha * u)
+            / np.cos(u) ** (1.0 / alpha)
+            * (np.cos((alpha - 1.0) * u) / e) ** ((1.0 - alpha) / alpha)
+        )
+        return dt ** (1.0 / alpha) * s
+    # the expression above, operation for operation, in two buffers
+    s = np.multiply(alpha, u)
+    np.sin(s, out=s)
+    w = np.cos(u)
+    np.power(w, 1.0 / alpha, out=w)
+    np.divide(s, w, out=s)
+    np.multiply(alpha - 1.0, u, out=w)
+    np.cos(w, out=w)
+    np.divide(w, e, out=w)
+    np.power(w, (1.0 - alpha) / alpha, out=w)
+    np.multiply(s, w, out=s)
+    return np.multiply(dt ** (1.0 / alpha), s, out=s)
 
 
 def sample_stable_poisson_series(

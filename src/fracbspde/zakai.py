@@ -256,15 +256,25 @@ class _ZakaiSteps:
         return self.dt * (p @ f_field) * self.problem.grid.dx
 
 
-def _check_transport_cfl(
-    problem: ControlProblem, policy: ControlPolicy, n_steps: int
-) -> None:
-    dt = problem.T / n_steps
-    worst = 0.0
-    for t in np.linspace(0.0, problem.T, 17):
-        k_field = np.asarray(problem.k(t, policy.value_at(t)), dtype=float)
-        worst = max(worst, float(np.abs(k_field).max()))
-    number = worst * dt / problem.grid.dx
+def _k_sup(problem: ControlProblem, t: float, v: float) -> float:
+    """max |k(t, v)|, or 0 when k(t, v) holds a NaN: the blow-up guard catches that step."""
+    sup = float(np.abs(np.asarray(problem.k(t, v), dtype=float)).max())
+    return 0.0 if np.isnan(sup) else sup
+
+
+def _cfl_number(problem: ControlProblem, k_sup: float, n_steps: int) -> float:
+    return k_sup * (problem.T / n_steps) / problem.grid.dx
+
+
+def _policy_cfl_number(problem: ControlProblem, policy: ControlPolicy, n_steps: int) -> float:
+    """The transport CFL number of a run: max |k(t_i, u(t_i))| at its step times t_i, i < n_steps."""
+    times = np.linspace(0.0, problem.T, n_steps + 1)[:-1]
+    return _cfl_number(
+        problem, max(_k_sup(problem, t, policy.value_at(t)) for t in times), n_steps
+    )
+
+
+def _check_transport_cfl(number: float, n_steps: int) -> None:
     if number > 1.0:
         raise StabilityError(
             f"transport CFL number {number:.3g} > 1; raise n_steps above "
@@ -285,7 +295,7 @@ def solve_zakai(
     out_idx = time_indices(times, output_times)
     p_out = np.empty((y_inc.shape[0], out_idx.size, problem.grid.n))
     pos = {int(i): r for r, i in enumerate(out_idx)}
-    _check_transport_cfl(problem, policy, n_steps)
+    _check_transport_cfl(_policy_cfl_number(problem, policy, n_steps), n_steps)
     steps = _ZakaiSteps(problem, y_inc, n_steps, guard)
     p = steps.p0
     for i in range(n_steps + 1):
@@ -328,33 +338,45 @@ def _policy_costs(
     StabilityError and BlowUp.
     """
     m = len(choices)
-    first = tuple(c[0] for c in choices)
-    _check_transport_cfl(problem, ControlPolicy(edges, first), n_steps)
-    steps = _ZakaiSteps(problem, y_inc, n_steps, guard)
+    times = np.linspace(0.0, problem.T, n_steps + 1)
     owner = ControlPolicy(edges, tuple(range(m)))
-    interval = [owner.value_at(t) for t in steps.times[:-1]]  # nondecreasing
+    interval = [owner.value_at(t) for t in times[:-1]]  # nondecreasing
     bounds = np.searchsorted(interval, np.arange(m + 1))  # interval j: bounds[j]:bounds[j+1]
+    # max |k| over interval j's step times under its c-th choice, one k
+    # evaluation per (step time, value); a leaf's CFL number is the largest
+    # along its choices, as _policy_cfl_number would compute it
+    k_sup = [
+        [max((_k_sup(problem, t, v) for t in times[bounds[j]:bounds[j + 1]]), default=0.0)
+         for v in choices[j]]
+        for j in range(m)
+    ]
+
+    def check_cfl(picks: tuple[int, ...]) -> None:
+        worst = max(k_sup[j][c] for j, c in enumerate(picks))
+        _check_transport_cfl(_cfl_number(problem, worst, n_steps), n_steps)
+
+    check_cfl((0,) * m)
+    steps = _ZakaiSteps(problem, y_inc, n_steps, guard)
     n_paths = y_inc.shape[0]
     out = []
 
-    def walk(prefix: tuple[float, ...], p: np.ndarray, running: np.ndarray) -> None:
-        j = len(prefix)
+    def walk(picks: tuple[int, ...], p: np.ndarray, running: np.ndarray) -> None:
+        j = len(picks)
         if j == m:
             per_path = running + (p @ problem.g) * problem.grid.dx
-            out.append((prefix, CostEstimate(
+            out.append((tuple(choices[i][c] for i, c in enumerate(picks)), CostEstimate(
                 mean=float(per_path.mean()),
                 stderr=float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0,
             )))
             return
         for c, v in enumerate(choices[j]):
-            values = prefix + (v,)
             if c > 0:  # the first leaf below this child is new
-                _check_transport_cfl(problem, ControlPolicy(edges, values + first[j + 1:]), n_steps)
+                check_cfl(picks + (c,) + (0,) * (m - j - 1))
             q, r = p, running.copy()
             for i in range(bounds[j], bounds[j + 1]):
                 r += steps.running_cost(i, q, v)
                 q = steps.step(i, q, v)
-            walk(values, q, r)
+            walk(picks + (c,), q, r)
 
     walk((), steps.p0, np.zeros(n_paths))
     return out
@@ -535,7 +557,8 @@ def verify_maximum_principle(
     the midpoint of a policy interval; tol = 3 (stderr + discretization
     estimate).  When no discretization estimate is supplied, the pipeline is
     re-run at half the step count on the first 512 paths and the worst
-    margin shift is used.
+    margin shift is used; that probe's transport CFL rule is checked first,
+    and a StabilityError names the n_steps that satisfies it.
     """
     check_times = list(0.5 * (np.asarray(policy.edges[:-1]) + np.asarray(policy.edges[1:])))
 
@@ -555,11 +578,20 @@ def verify_maximum_principle(
                 )
         return out
 
+    if discretization_estimate is None:
+        if n_steps % 2:
+            raise ValueError("n_steps must be even for the internal refinement probe")
+        # checked before the full run, and named in the step count passed here
+        number = _policy_cfl_number(problem, policy, n_steps // 2)
+        if number > 1.0:
+            raise StabilityError(
+                f"transport CFL number {number:.3g} > 1 in the refinement probe at "
+                f"n_steps / 2 = {n_steps // 2} steps; raise n_steps to at least "
+                f"{2 * int(np.ceil(n_steps // 2 * number))}"
+            )
     full = margins(y_inc, n_steps)
     if discretization_estimate is None:
         sub = y_inc[:512]
-        if n_steps % 2:
-            raise ValueError("n_steps must be even for the internal refinement probe")
         sub_coarse = sub.reshape(sub.shape[0], n_steps // 2, 2).sum(axis=2)
         coarse = margins(sub_coarse, n_steps // 2)
         # with at most 512 paths the fine probe is the full run

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fracbspde.bspde import (
     BSPDEData,
+    _PeriodicStencil,
     PathFunctional,
     RandomFieldSpec,
     RandomTerm,
@@ -25,9 +26,10 @@ from fracbspde.errors import (
     StabilityError,
     UnsupportedSpec,
 )
-from fracbspde.grid import Grid1D
+from fracbspde.fraclap import frac_lap_multiplier
+from fracbspde.grid import Grid1D, apply_multiplier, derivative_multiplier
 from fracbspde.kernel import CoefficientA, eval_A
-from fracbspde.levy import RngStream
+from fracbspde.levy import RngStream, feynman_kac_estimate
 from fracbspde.regression import project_expectation
 
 GRID = Grid1D(-32.0, 32.0, 256)
@@ -697,3 +699,185 @@ def test_fbsde_crosscheck_space_dependent_a():
     )
     for r in res:
         assert r.passed, (r.x, r.mc.mean, r.pde_value)
+
+
+# --- the shared periodic stencil and the frozen factors, against the code they replace ---
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+# FB_GRID and (0, 5) have a node at exactly 0.0, so an x just below 0 has
+# x % L == L, the last wrap node; the other two have no node that is 0 mod L
+STENCIL_GRIDS = [FB_GRID, Grid1D(0.0, 5.0, 16), Grid1D(-1.3, 2.9, 64), Grid1D(0.1, 7.0, 8)]
+STENCIL_SPECIALS = [-1e-17, -5e-324, 0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_periodic_stencil_is_np_interp_byte_for_byte(data):
+    grid = data.draw(st.sampled_from(STENCIL_GRIDS))
+    L = grid.length
+    nodes = data.draw(st.lists(st.integers(0, grid.n - 1), max_size=8))
+    shifts = data.draw(st.lists(st.integers(-3, 3), min_size=len(nodes), max_size=len(nodes)))
+    far = data.draw(st.lists(st.floats(-1e12, 1e12), max_size=8))
+    near = data.draw(st.lists(st.floats(-2 * L, 2 * L), max_size=8))
+    x = np.array(
+        [grid.x[i] + k * L for i, k in zip(nodes, shifts)] + STENCIL_SPECIALS + far + near
+    )
+    x = x[data.draw(st.permutations(range(x.size)))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    fields = [
+        rng.normal(size=grid.n),
+        rng.normal(scale=1e6, size=grid.n),
+        np.where(rng.uniform(size=grid.n) < 0.5, -0.0, 0.0),  # fp[j] = -0.0 at nodes
+    ]
+    stencil = _PeriodicStencil(grid)
+    with np.errstate(invalid="ignore"):  # inf % L, in both
+        for field in fields:  # several fields at one located x
+            expected = np.interp(x, grid.x, field, period=L)
+            assert _bits(stencil(x, stencil.table(field, "f"))) == _bits(expected)
+
+
+def test_periodic_stencil_relocates_a_new_array():
+    stencil = _PeriodicStencil(FB_GRID)
+    table = stencil.table(np.cos(FB_GRID.x), "g")
+    x = np.linspace(-3.0, 3.0, 11)
+    first = stencil(x, table)
+    y = x + 0.5
+    assert _bits(stencil(y, table)) == _bits(np.interp(y, FB_GRID.x, np.cos(FB_GRID.x), period=FB_GRID.length))
+    assert _bits(stencil(x, table)) == _bits(first)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+def test_periodic_stencil_rejects_a_non_finite_field(bad):
+    # a non-finite value, or finite values whose slope overflows
+    field = np.zeros(GRID.n)
+    field[7] = bad
+    field[8] = -1e308 if bad == 1e308 else 0.0
+    stencil = _PeriodicStencil(GRID)
+    with pytest.raises(BlowUp, match="c.*not finite"):
+        stencil.table(field, "c")
+
+
+def _interp_crosscheck(data, probes, rng, n_paths, n_steps_solver, n_steps_mc):
+    """fbsde_crosscheck with one np.interp closure per field, the reference."""
+    g = data.grid
+    has_var = data.b is not None or data.c is not None or data.a_xt is not None
+    solve = solve_pde_variable_coeff if has_var else solve_fourier_deterministic
+    fine = solve(data, n_steps=n_steps_solver)
+    coarse = solve(data, n_steps=n_steps_solver // 2)
+
+    def at_particles(field_fn):
+        return lambda t, x: np.interp(x, g.x, np.asarray(field_fn(t), dtype=float), period=g.length)
+
+    g_arr = data.deterministic_g()
+    out = []
+    for idx, (t, x) in enumerate(probes):
+        xi_idx = int(np.argmin(np.abs(g.x - x)))
+        pde_val = float(fine.u_at(t)[xi_idx])
+        bound = abs(pde_val - float(coarse.u_at(t)[xi_idx])) + 1e-10
+        mc = feynman_kac_estimate(
+            g=lambda y: np.interp(y, g.x, g_arr, period=g.length),
+            f=None if data.f is None else at_particles(data.f),
+            c=None if data.c is None else at_particles(data.c),
+            b=None if data.b is None else at_particles(data.b),
+            a=(lambda t, x: data.a(np.asarray([t]))[0] * np.ones_like(x))
+            if data.a_xt is None else at_particles(data.a_xt),
+            alpha=data.alpha, x=float(g.x[xi_idx]), t=t, T=data.T,
+            n_steps=n_steps_mc, n_paths=n_paths, rng=rng.child(idx),
+        )
+        out.append((t, float(g.x[xi_idx]), pde_val, mc.mean, mc.stderr, mc.n_paths, bound))
+    return out
+
+
+def _probe_tuples(results):
+    return [(r.t, r.x, r.pde_value, r.mc.mean, r.mc.stderr, r.mc.n_paths, r.grid_bound)
+            for r in results]
+
+
+def test_fbsde_crosscheck_is_the_np_interp_crosscheck():
+    # the benchmark's probe data (the feynman-kac check's), and a case with
+    # space-time b and a_xt
+    fk = BSPDEData(
+        grid=FB_GRID, alpha=1.6, T=1.0, a=CoefficientA.constant(1.0),
+        g=np.cos(FB_GRID.x) + 0.7 * np.sin(2.0 * FB_GRID.x),
+        f=lambda t: 0.3 * np.cos(FB_GRID.x),
+        c=lambda t: np.full(FB_GRID.n, -0.2),
+    )
+    grid = Grid1D(-8 * np.pi, 8 * np.pi, 256)
+    var = BSPDEData(
+        grid=grid, alpha=1.5, T=1.0, a=CoefficientA.constant(1.0),
+        g=np.cos(grid.x), f=lambda t: 0.1 * t * np.sin(grid.x),
+        b=lambda t: 0.4 * np.sin(grid.x) * (1.0 - t),
+        a_xt=lambda t: 1.0 + 0.3 * np.cos(grid.x) + 0.2 * t,
+        c=lambda t: -0.1 * (1.0 + np.cos(grid.x)),
+    )
+    for data, probes in ((fk, [(0.25, -2.3), (0.0, 0.0)]), (var, [(0.0, 1.0), (0.5, -np.pi)])):
+        args = (data, probes, RngStream(11, 800), 3000, 64, 24)
+        got = fbsde_crosscheck(*args[:3], n_paths=args[3], n_steps_solver=args[4], n_steps_mc=args[5])
+        assert _probe_tuples(got) == _interp_crosscheck(*args)
+
+
+def test_fbsde_crosscheck_rejects_a_field_non_finite_at_a_particle_time():
+    # c is NaN only at t = 1/48, a Monte Carlo time that no solver step reads;
+    # np.interp would turn it into a NaN mean
+    c = lambda t: np.full(GRID.n, np.nan if abs(t - 1.0 / 48) < 1e-12 else -0.2)
+    data = make_data(g=np.cos(XI1 * GRID.x), c=c)
+    with pytest.raises(BlowUp, match="c.*not finite"):
+        fbsde_crosscheck(data, [(0.0, 0.0)], RngStream(3), n_paths=100,
+                         n_steps_solver=128, n_steps_mc=48)
+
+
+def _per_step_rebuild(data, n_steps):
+    """solve_pde_variable_coeff's march with the frozen factors rebuilt every step."""
+    g = data.grid
+    times = np.linspace(0.0, data.T, n_steps + 1)
+    dt = data.T / n_steps
+    lam = frac_lap_multiplier(g, data.alpha)
+    d1 = derivative_multiplier(g, 1)
+    a_xt = data.a_xt or (lambda t: data.a(np.asarray([t]))[0] * np.ones(g.n))
+    b_fn = data.b or (lambda t: np.zeros(g.n))
+    c_fn = data.c or (lambda t: np.zeros(g.n))
+    u_hat = np.fft.fft(data.deterministic_g()).astype(complex)
+    out = [np.real(np.fft.ifft(u_hat))]
+    for i in range(n_steps - 1, -1, -1):
+        t_hi = times[i + 1]
+        a_bars = np.array([float(np.mean(np.asarray(a_xt(times[i] + q * dt), dtype=float)))
+                           for q in (0.0, 0.25, 0.5, 0.75, 1.0)])
+        a_hi, b_hi, c_hi = (np.asarray(fn(t_hi), dtype=float) for fn in (a_xt, b_fn, c_fn))
+        abar_hi, bbar, cbar = (float(np.mean(v)) for v in (a_hi, b_hi, c_hi))
+        A_half = dt / 12.0 * (a_bars[0] + 4.0 * a_bars[1] + a_bars[2])
+        A_full = A_half + dt / 12.0 * (a_bars[2] + 4.0 * a_bars[3] + a_bars[4])
+        exp_half = -A_half * lam + 0.5 * cbar * dt + 0.5 * d1 * bbar * dt
+        exp_full = -A_full * lam + cbar * dt + d1 * bbar * dt
+        mult = np.exp(exp_full)
+        w_load = dt / 6.0 * (1.0 + 4.0 * np.exp(exp_half) + mult)
+        u = out[-1]
+        expl = (-(a_hi - abar_hi) * np.real(np.fft.ifft(lam * u_hat))
+                + (b_hi - bbar) * apply_multiplier(u, d1) + (c_hi - cbar) * u)
+        if data.f is not None:
+            expl = expl + np.asarray(data.f(t_hi), dtype=float)
+        u_hat = mult * u_hat + w_load * np.fft.fft(expl)
+        out.append(np.real(np.fft.ifft(u_hat)))
+    return np.stack(out[::-1])
+
+
+@pytest.mark.parametrize("coeffs", ["constant", "varying", "piecewise"])
+def test_frozen_factors_built_once_are_the_per_step_rebuild(coeffs):
+    x = GRID.x
+    kw = {
+        # the probe's data: every frozen mean constant in time
+        "constant": dict(c=lambda t: np.full(GRID.n, -0.2), b=lambda t: np.full(GRID.n, 0.3),
+                         f=lambda t: 0.3 * np.cos(XI1 * x)),
+        "varying": dict(a_xt=lambda t: 1.0 + 0.2 * t + 0.1 * np.cos(XI1 * x),
+                        b=lambda t: 0.3 * (1.0 - t) + 0.1 * np.sin(XI1 * x),
+                        c=lambda t: -0.2 * t * (1.0 + np.cos(XI1 * x))),
+        # the means jump at t = 1/2: rebuilt there, reused on either side
+        "piecewise": dict(c=lambda t: np.full(GRID.n, -0.2 if t < 0.5 else 0.1),
+                          b=lambda t: np.full(GRID.n, 0.0 if t < 0.5 else -0.0)),
+    }[coeffs]
+    data = make_data(g=np.cos(XI1 * x) + 0.5 * np.sin(3 * XI1 * x), **kw)
+    got = solve_pde_variable_coeff(data, n_steps=32)
+    assert _bits(got.u) == _bits(_per_step_rebuild(data, 32))

@@ -76,6 +76,55 @@ def test_apply_multiplier_matches_dealiased_flux_form(grid):
     assert _same_bits(flux, inline)
 
 
+def _direct_multiplier_sums(values, mult):
+    """(1/n) sum_k mult_k V_k e^{+2 pi i j k / n}, V_k = sum_j v_j e^{-2 pi i j k / n},
+    as O(n^2) sums with exactly reduced phases; complex, so a multiplier that
+    is not Hermitian shows as an imaginary part."""
+    n = values.shape[-1]
+    phase = np.exp(-2j * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
+    return (mult * (values @ phase)) @ phase.conj() / n
+
+
+def _library_multipliers(n, rng):
+    grid = Grid1D(-rng.uniform(1.0, 40.0), rng.uniform(1.0, 40.0), n)
+    k = np.fft.fftfreq(n) * n
+    lam = frac_lap_multiplier(grid, rng.uniform(1.01, 2.0))
+    return [
+        derivative_multiplier(grid, 1),
+        derivative_multiplier(grid, 2),
+        derivative_multiplier(grid, 3),
+        lam,
+        np.exp(-rng.uniform(0.0, 2.0) * lam),
+        derivative_multiplier(grid, 1) * (np.abs(k) <= n // 3),  # the filter's dealiased flux
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    batched_mult=st.booleans(),
+    scale=st.sampled_from([1e-3, 1.0, 1e4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_multiplier_is_the_direct_dft(n, batch, batched_mult, scale, seed):
+    # random Hermitian multipliers, m_k = conj(m_{-k}), of any n and batch shape,
+    # and every multiplier the library builds on power-of-two grids
+    rng = np.random.default_rng(seed)
+    values = scale * rng.standard_normal((*batch, n))
+    raw = rng.standard_normal((*(batch if batched_mult else ()), n, 2)) @ [1.0, 1j]
+    mults = [0.5 * (raw + np.conj(raw[..., -np.arange(n) % n]))]
+    if n >= 2 and n & (n - 1) == 0:
+        mults += _library_multipliers(n, rng)
+    eps = np.finfo(float).eps
+    for mult in mults:
+        direct = _direct_multiplier_sums(values, mult)
+        # round-off of the two n-term sums: 8 n eps max|m| sum_j |v_j|
+        bound = 8 * n * eps * np.max(np.abs(mult)) * np.sum(np.abs(values), axis=-1, keepdims=True)
+        assert np.all(np.abs(direct.imag) <= bound)
+        assert np.all(np.abs(apply_multiplier(values, mult) - direct.real) <= bound)
+
+
 def test_derivative_multiplier_nyquist_rule(grid):
     nyq = grid.n // 2
     assert derivative_multiplier(grid, 1)[nyq] == 0.0

@@ -186,3 +186,26 @@ def test_batch_brownian_shape():
     grid = PathGrid(0.0, 2.0, 10)
     incs = simulate_brownian_increments(grid, RngStream(61), 7)
     assert incs.shape == (7, 10)
+
+
+def _cms_expression(alpha, dt, rng, size=None):
+    """The Chambers-Mallows-Stuck draw as one expression, the reference for
+    sample_stable's buffered evaluation."""
+    u = rng.uniform(-np.pi / 2, np.pi / 2, size)
+    e = rng.exponential(1.0, size)
+    s = (
+        np.sin(alpha * u)
+        / np.cos(u) ** (1.0 / alpha)
+        * (np.cos((alpha - 1.0) * u) / e) ** ((1.0 - alpha) / alpha)
+    )
+    return dt ** (1.0 / alpha) * s
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.3, 1.5, 1.8, 1.99])
+@pytest.mark.parametrize("size", [None, (), 1, 36_000, (3, 5)])
+def test_sample_stable_is_the_cms_expression_byte_for_byte(alpha, size):
+    got = sample_stable(alpha, 0.02, RngStream(2024, 5).generator(), size)
+    expected = _cms_expression(alpha, 0.02, RngStream(2024, 5).generator(), size)
+    assert type(got) is type(expected)
+    assert np.shape(got) == np.shape(expected)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()

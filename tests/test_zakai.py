@@ -555,3 +555,72 @@ def test_girsanov_unit_mean_mass():
     y_inc = simulate_brownian_increments(PathGrid(0.0, prob.T, n_steps), RngStream(101), 4000)
     est = cost_functional(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps)
     assert abs(est.mean - 1.0) <= 3.0 * est.stderr + 1e-3
+
+
+def spike_problem(T=0.5, n_steps=24):
+    # k is large only at the step time t_1 = T / n_steps, between two of
+    # the 17 times linspace(0, T, 17): that one step runs at CFL 12.5
+    def k(t, v):
+        if abs(t - T / n_steps) < 1e-12:
+            return 300.0 * np.sin(16 * np.pi * GRID.x / GRID.length)
+        return np.full(GRID.n, v)
+
+    return make_problem(T=T, k=k, U=(0.0, 0.1))
+
+
+def test_transport_cfl_check_reads_every_step_time():
+    prob, n_steps = spike_problem(), 24
+    y_inc = np.zeros((2, n_steps))
+    match = r"^transport CFL number 12\.5 > 1; raise n_steps above 300$"
+    with pytest.raises(StabilityError, match=match):
+        solve_zakai(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps)
+    with pytest.raises(StabilityError, match=match):
+        cost_functional(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps)
+    with pytest.raises(StabilityError, match=match):
+        brute_force_optimal_control(prob, 2, y_inc, n_steps=n_steps)
+    # the terminal time T is no step time: a k spike there constrains nothing
+    late = make_problem(k=lambda t, v: np.full(GRID.n, 1e6 if t == 0.5 else 0.0))
+    solve_zakai(late, ControlPolicy.constant(0.0, 0.5), y_inc, n_steps=n_steps)
+
+
+def test_policy_search_evaluates_k_once_per_step_time_and_value(monkeypatch):
+    prob = drift_target_problem()
+    calls = Counter()
+    k = prob.k
+
+    def counted(t, v):
+        calls[t, v] += 1
+        return k(t, v)
+
+    prob.k = counted
+    stepped = Counter()
+    step = zakai._ZakaiSteps.step
+
+    def counted_step(self, i, p, v):
+        stepped[self.times[i], v] += 1
+        return step(self, i, p, v)
+
+    monkeypatch.setattr(zakai._ZakaiSteps, "step", counted_step)
+    n_steps = 24
+    brute_force_optimal_control(prob, 3, np.zeros((2, n_steps)), n_steps=n_steps)
+    # one CFL read per (step time, control value) on top of the 312 Zakai
+    # steps of the prefix tree, each of which reads k once
+    assert sum(stepped.values()) == 312
+    assert calls - stepped == Counter(
+        {(t, v): 1 for t in np.linspace(0.0, prob.T, n_steps + 1)[:-1] for v in prob.U}
+    )
+
+
+def test_refinement_probe_cfl_names_the_steps_to_pass(monkeypatch):
+    # k = 20 runs at CFL 0.83 on 24 steps but at 1.67 on the probe's 12
+    prob = drift_target_problem(U=(-20.0, 20.0))
+    policy = ControlPolicy.constant(20.0, prob.T)
+    y_inc = np.zeros((4, 24))
+    monkeypatch.setattr(zakai, "solve_zakai", None)  # the check comes before any run
+    with pytest.raises(
+        StabilityError,
+        match=r"^transport CFL number 1\.67 > 1 in the refinement probe at n_steps / 2 = 12 "
+        r"steps; raise n_steps to at least 40$",
+    ):
+        verify_maximum_principle(prob, policy, y_inc, n_steps=24)
+    assert zakai._policy_cfl_number(prob, policy, 20) <= 1.0 < zakai._policy_cfl_number(prob, policy, 19)
