@@ -358,10 +358,6 @@ def solve_kernel_deterministic(
     )
 
 
-def _frozen_mean(vals: np.ndarray) -> float:
-    return float(np.mean(vals))
-
-
 def solve_pde_variable_coeff(
     data: BSPDEData,
     n_steps: int = 256,
@@ -374,7 +370,8 @@ def solve_pde_variable_coeff(
     plus exact phase/growth factors); the residual
     -(a - a_bar) (-Delta)^(alpha/2) u + (b - b_bar) u_x + (c - c_bar) u + f
     is stepped explicitly, giving first-order temporal convergence and
-    exactness whenever the residual vanishes.
+    exactness whenever the residual vanishes.  Without a_xt, a_bar is the
+    time-only data.a.at(t) and the residual has no a term.
 
     The frozen one-step factors (exp of the frozen symbol over the step and
     the Simpson weights of the load) depend only on (A_half, A_full, c_bar,
@@ -389,19 +386,21 @@ def solve_pde_variable_coeff(
     lam = frac_lap_multiplier(g, data.alpha)
     xi_max = float(np.max(np.abs(g.xi)))
 
-    a_xt = data.a_xt or (lambda t: data.a(np.asarray([t]))[0] * np.ones(g.n))
+    a_xt = data.a_xt
     b_fn = data.b or (lambda t: np.zeros(g.n))
     c_fn = data.c or (lambda t: np.zeros(g.n))
     f_fn = data.deterministic_f()
 
-    # stability of the explicit residual, sampled at step times
-    worst_frac = 0.0
-    worst_trans = 0.0
-    for t in times:
-        av = np.asarray(a_xt(t), dtype=float)
-        bv = np.asarray(b_fn(t), dtype=float)
-        worst_frac = max(worst_frac, float(np.max(np.abs(av - av.mean()))))
-        worst_trans = max(worst_trans, float(np.max(np.abs(bv - bv.mean()))))
+    def a_bar(t: float) -> float:
+        return data.a.at(t) if a_xt is None else float(np.mean(np.asarray(a_xt(t), dtype=float)))
+
+    def spread(fn, t: float) -> float:
+        v = np.asarray(fn(t), dtype=float)
+        return float(np.max(np.abs(v - v.mean())))
+
+    # stability of the explicit residual, sampled at step times (a NaN spread is skipped)
+    worst_frac = 0.0 if a_xt is None else max(0.0, *(spread(a_xt, t) for t in times))
+    worst_trans = max(0.0, *(spread(b_fn, t) for t in times))
     frac_number = worst_frac * xi_max**data.alpha * dt
     trans_number = worst_trans * xi_max * dt
     if frac_number > 1.0 or trans_number > 1.0:
@@ -414,21 +413,20 @@ def solve_pde_variable_coeff(
 
     d1 = derivative_multiplier(g, 1)  # the unpaired Nyquist mode carries no transport phase
 
+    out_idx = time_indices(times, output_times)
+    u = np.empty((out_idx.size, g.n))
     u_hat = np.fft.fft(data.deterministic_g()).astype(complex)
-    store: dict[int, np.ndarray] = {n_steps: np.real(np.fft.ifft(u_hat))}
+    u_field = np.real(np.fft.ifft(u_hat))  # the running field, kept at out_idx only
+    u[out_idx == n_steps] = u_field
     quarter = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     frozen_key = None  # bit pattern of the (A_half, A_full, c_bar, b_bar) behind mult, w_load
     for i in range(n_steps - 1, -1, -1):
         t_hi = times[i + 1]
-        a_bars = np.array(
-            [_frozen_mean(np.asarray(a_xt(times[i] + q * dt), dtype=float)) for q in quarter]
-        )
-        a_hi = np.asarray(a_xt(t_hi), dtype=float)
+        a_bars = np.array([a_bar(times[i] + q * dt) for q in quarter])
         b_hi = np.asarray(b_fn(t_hi), dtype=float)
         c_hi = np.asarray(c_fn(t_hi), dtype=float)
-        abar_hi = _frozen_mean(a_hi)  # residual compares a to its mean at the same time
-        bbar = _frozen_mean(b_hi)
-        cbar = _frozen_mean(c_hi)
+        bbar = float(np.mean(b_hi))
+        cbar = float(np.mean(c_hi))
 
         # frozen one-step backward factor exp(-dA lam + c_bar dt + i xi b_bar dt):
         # in the raw-fft basis exp(+i xi x), the +b u_x backward transport is a
@@ -446,21 +444,16 @@ def solve_pde_variable_coeff(
             w_load = dt / 6.0 * (1.0 + 4.0 * np.exp(exp_half) + mult)
             frozen_key = None if np.isnan(key).any() else key.tobytes()
 
-        u_field = store[i + 1]
-        frac_u = np.real(np.fft.ifft(lam * u_hat))
-        du = apply_multiplier(u_field, d1)
-        expl = (
-            -(a_hi - abar_hi) * frac_u
-            + (b_hi - bbar) * du
-            + (c_hi - cbar) * u_field
-        )
+        expl = (b_hi - bbar) * apply_multiplier(u_field, d1)
+        if a_xt is not None:
+            a_hi = np.asarray(a_xt(t_hi), dtype=float)  # against its own mean at t_hi
+            expl = expl - (a_hi - float(np.mean(a_hi))) * np.real(np.fft.ifft(lam * u_hat))
+        expl = expl + (c_hi - cbar) * u_field
         if f_fn is not None:
             expl = expl + np.asarray(f_fn(t_hi), dtype=float)
         u_hat = mult * u_hat + w_load * np.fft.fft(expl)
-        store[i] = np.real(np.fft.ifft(u_hat))
-
-    out_idx = time_indices(times, output_times)
-    u = np.stack([store[i] for i in out_idx])
+        u_field = np.real(np.fft.ifft(u_hat))
+        u[out_idx == i] = u_field
     return SolutionField(
         grid=g,
         times=times[out_idx],
@@ -707,9 +700,8 @@ def solve_bspde_regression(
     coarse_steps = np.unique(np.concatenate([coarse_steps, extra]).astype(int))
 
     def drift(i: int, u: np.ndarray) -> np.ndarray:
-        a_i = float(data.a(np.asarray([times[i + 1]]))[0])
         f_hat = field_hat_at(data.f, i + 1) if data.f is not None else 0.0
-        return -a_i * lam[None, :] * u + f_hat
+        return -data.a.at(times[i + 1]) * lam[None, :] * u + f_hat
 
     out_idx = time_indices(times, output_times)
     u_store, v_store, v_se_store, max_cond = regress_backward(
@@ -957,6 +949,7 @@ def fbsde_crosscheck(
     uniform grid, and every field at it costs a gather and a multiply-add.
     The values equal np.interp(x, grid.x, field, period=grid.length) byte
     for byte, its special cases included.  A non-finite field raises BlowUp.
+    Without a_xt the particles read a as one number per step, data.a.at(t).
     """
     g = data.grid
     has_var_coeff = data.b is not None or data.c is not None or data.a_xt is not None
@@ -978,9 +971,7 @@ def fbsde_crosscheck(
 
         return fn
 
-    def a_const(t, x):
-        return data.a(np.asarray([t]))[0] * np.ones_like(x)
-
+    a_fn = (lambda t, x: data.a.at(t)) if data.a_xt is None else at_particles(data.a_xt, "a_xt")
     g_table = stencil.table(data.deterministic_g(), "g")
     f_dt = data.deterministic_f()
 
@@ -994,7 +985,7 @@ def fbsde_crosscheck(
             f=None if f_dt is None else at_particles(f_dt, "f"),
             c=None if data.c is None else at_particles(data.c, "c"),
             b=None if data.b is None else at_particles(data.b, "b"),
-            a=a_const if data.a_xt is None else at_particles(data.a_xt, "a_xt"),
+            a=a_fn,
             alpha=data.alpha,
             x=float(g.x[xi_idx]),
             t=t,

@@ -323,15 +323,11 @@ PDE_SCHEMA = {
 }
 
 
-def _positive_on_horizon(fn, T: float, key: str) -> CoefficientA:
-    try:  # a diffusivity must be > 0 on [0, T]
-        return CoefficientA.from_callable(fn, t_max=T)
-    except PositivityViolation as exc:
-        raise ConfigError(str(exc), key) from exc
-
-
 def _coefficient_a(cfg: dict) -> CoefficientA:
-    return _positive_on_horizon(parse_time_fn(cfg["a"], "a"), cfg["T"], "a")
+    try:  # a diffusivity must be > 0 on [0, T]
+        return CoefficientA.from_callable(parse_time_fn(cfg["a"], "a"), t_max=cfg["T"])
+    except PositivityViolation as exc:
+        raise ConfigError(str(exc), "a") from exc
 
 
 def _pde_data(cfg: dict) -> BSPDEData:
@@ -340,7 +336,7 @@ def _pde_data(cfg: dict) -> BSPDEData:
     a_xt = None
     if cfg["a_x"] is not None:
         shape = parse_field(cfg["a_x"], grid, "a_x")
-        a_xt = lambda t: a(np.asarray([t]))[0] + shape
+        a_xt = lambda t: a.at(t) + shape
     fields = {}
     for key in ("b", "c", "f"):
         if cfg[key] is not None:
@@ -491,20 +487,21 @@ def cmd_zakai(cfg: dict) -> int:
     k_arr = parse_field(cfg["k"], grid, "k") if cfg["k"] else zeros
     h_arr = parse_field(cfg["h"], grid, "h") if cfg["h"] else zeros
     mu_fn = parse_time_fn(cfg["mu"], "mu")
-    # the filter's diffusivity is a(t) = |mu(t)|^alpha
-    _positive_on_horizon(lambda t: np.abs(mu_fn(t)) ** cfg["alpha"], cfg["T"], "mu")
-    prob = ControlProblem(
-        grid=grid,
-        alpha=cfg["alpha"],
-        T=cfg["T"],
-        mu=lambda t: float(mu_fn(np.asarray([t]))[0]),
-        k=lambda t, v: k_arr,
-        h=lambda t: h_arr,
-        f=lambda t, v: zeros,
-        g=zeros,
-        U=(0.0,),
-        p0=_unit_gaussian_density(grid, cfg["p0_width"], "p0_width"),
-    )
+    try:  # p0 has unit mass, so only the diffusivity a(t) = |mu(t)|^alpha can fail here
+        prob = ControlProblem(
+            grid=grid,
+            alpha=cfg["alpha"],
+            T=cfg["T"],
+            mu=lambda t: float(mu_fn(np.asarray([t]))[0]),
+            k=lambda t, v: k_arr,
+            h=lambda t: h_arr,
+            f=lambda t, v: zeros,
+            g=zeros,
+            U=(0.0,),
+            p0=_unit_gaussian_density(grid, cfg["p0_width"], "p0_width"),
+        )
+    except PositivityViolation as exc:
+        raise ConfigError(str(exc), "mu") from exc
     y_inc = simulate_brownian_increments(
         PathGrid(0.0, cfg["T"], cfg["steps"]), RngStream(cfg["seed"]), 1
     )

@@ -213,6 +213,10 @@ class CoefficientA:
     def __call__(self, t):
         return np.asarray(self.func(np.asarray(t, dtype=float)), dtype=float)
 
+    def at(self, t: float) -> float:
+        """a(t) as a number, from the one-element evaluation a([t])."""
+        return float(self(np.asarray([t]))[0])
+
     @classmethod
     def constant(cls, c: float) -> "CoefficientA":
         if c <= 0:

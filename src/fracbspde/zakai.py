@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bspde import regress_backward
+from .bspde import _finite, regress_backward
 from .errors import (
     BlowUp,
     BudgetExceeded,
@@ -69,7 +69,8 @@ class ControlProblem:
     k(t, v) and f(t, v) map a time and a control value to field arrays;
     h(t) maps a time to the observation field; g is the terminal cost
     weight; p0 the initial density (nonnegative, unit mass).  The diffusion
-    coefficient is a(t) = |mu(t)|^alpha.
+    coefficient a(t) = |mu(t)|^alpha is CoefficientA.from_callable on [0, T]:
+    a mu that vanishes at one of its samples raises PositivityViolation.
     """
 
     grid: Grid1D
@@ -96,14 +97,8 @@ class ControlProblem:
             )
         if len(self.U) == 0:
             raise ValueError("control set U is empty")
-        ts = np.linspace(0.0, self.T, 257)
-        a_vals = np.array([abs(self.mu(t)) ** self.alpha for t in ts])
-        if a_vals.min() <= 0:
-            raise PositivityViolation("jump scale mu vanishes; a(t) must be positive")
-        self.a = CoefficientA(
-            lambda t: np.abs(np.vectorize(self.mu)(t)) ** self.alpha,
-            float(a_vals.min()),
-            float(a_vals.max()),
+        self.a = CoefficientA.from_callable(
+            lambda t: np.abs(np.vectorize(self.mu)(t)) ** self.alpha, self.T
         )
 
 
@@ -174,9 +169,8 @@ def apply_L(
     """L phi = -a(t) (-Delta)^(alpha/2) phi - D(k(t,.,v) phi)."""
     d1 = derivative_multiplier(problem.grid, 1)
     lam = frac_lap_multiplier(problem.grid, problem.alpha)
-    a_t = float(problem.a(np.asarray([t]))[0])
     k_t = np.asarray(problem.k(t, v), dtype=float)
-    return -a_t * apply_multiplier(phi, lam) - apply_multiplier(k_t * phi, d1)
+    return -problem.a.at(t) * apply_multiplier(phi, lam) - apply_multiplier(k_t * phi, d1)
 
 
 def apply_L_star(
@@ -185,9 +179,8 @@ def apply_L_star(
     """Computed adjoint L* phi = -a (-Delta)^(alpha/2) phi + k D phi."""
     d1 = derivative_multiplier(problem.grid, 1)
     lam = frac_lap_multiplier(problem.grid, problem.alpha)
-    a_t = float(problem.a(np.asarray([t]))[0])
     k_t = np.asarray(problem.k(t, v), dtype=float)
-    return -a_t * apply_multiplier(phi, lam) + k_t * apply_multiplier(phi, d1)
+    return -problem.a.at(t) * apply_multiplier(phi, lam) + k_t * apply_multiplier(phi, d1)
 
 
 def duality_defect(
@@ -415,16 +408,25 @@ def solve_adjoint(
     path functionals of Y.  l at T is the fit of the last step.  With
     h == 0 the updates are deterministic and reproduce the backward PDE with
     transport coefficient k.
+
+    The step is forward Euler on L*: its symbol |1 - dt a(t_{i+1}) lam + dt K d1|,
+    K = max |k(t_{i+1}, u(t_i))| over the steps the drift reads, must not exceed 1
+    at any mode, or StabilityError names the n_steps that passes, from
+    dt <= 2 a lam / (a^2 lam^2 + K^2 xi^2) per mode.  A non-finite q or l is BlowUp.
     """
     g = problem.grid
-    lam = frac_lap_multiplier(g, problem.alpha)
     dt = problem.T / n_steps
     times = np.linspace(0.0, problem.T, n_steps + 1)
-    stiff = problem.a.upper * float(lam.max()) * dt
-    if stiff > 2.0:
+    lam = frac_lap_multiplier(g, problem.alpha)
+    d1 = derivative_multiplier(g, 1)
+    K = max(_k_sup(problem, t, policy.value_at(s)) for s, t in zip(times[:-1], times[1:]))
+    a = np.sort([problem.a.at(t) for t in times[1:]])[[0, -1], None]  # |symbol|^2 convex in a
+    symbol = float(np.abs(1.0 - dt * a * lam + dt * K * d1).max())
+    if symbol > 1.0 + 1e-12:  # round-off slack: the mean mode sits at exactly 1
+        dt_max = np.min(2 * a * lam[1:] / np.abs(a * lam[1:] - K * d1[1:]) ** 2)  # lam[0] = 0
         raise StabilityError(
-            f"explicit diffusion number a |xi|^alpha dt = {stiff:.3g} > 2; raise "
-            f"n_steps above {int(np.ceil(n_steps * stiff / 2))}"
+            f"explicit adjoint symbol |1 - dt a |xi|^alpha + i dt k xi| = {symbol:.5g} > 1; "
+            f"raise n_steps to at least {int(np.ceil(problem.T / dt_max))}"
         )
     coarse_steps = np.unique(
         np.round(np.linspace(0, n_steps, min(6, n_steps) + 1)).astype(int)
@@ -446,8 +448,8 @@ def solve_adjoint(
     return AdjointState(
         grid=g,
         times=times[out_idx],
-        q=q_out,
-        l=l_out,
+        q=_finite(q_out),
+        l=_finite(l_out),
         l_se=np.sqrt(np.mean(l_se**2, axis=1)),
         meta={"n_steps": n_steps, "max_design_cond": max_cond, "policy": policy},
     )
@@ -558,8 +560,11 @@ def verify_maximum_principle(
     estimate).  When no discretization estimate is supplied, the pipeline is
     re-run at half the step count on the first 512 paths and the worst
     margin shift is used; that probe's transport CFL rule is checked first,
-    and a StabilityError names the n_steps that satisfies it.
+    and a StabilityError names the n_steps that satisfies it.  Fewer than 2
+    paths (no standard error) raise ValueError.
     """
+    if y_inc.shape[0] < 2:
+        raise ValueError(f"need at least 2 observation paths, got {y_inc.shape[0]}")
     check_times = list(0.5 * (np.asarray(policy.edges[:-1]) + np.asarray(policy.edges[1:])))
 
     def margins(paths: np.ndarray, steps: int):

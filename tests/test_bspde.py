@@ -762,7 +762,8 @@ def test_periodic_stencil_rejects_a_non_finite_field(bad):
 
 
 def _interp_crosscheck(data, probes, rng, n_paths, n_steps_solver, n_steps_mc):
-    """fbsde_crosscheck with one np.interp closure per field, the reference."""
+    """fbsde_crosscheck with one np.interp closure per field and a time-only
+    a as the field a(t) * ones at the particles, the reference."""
     g = data.grid
     has_var = data.b is not None or data.c is not None or data.a_xt is not None
     solve = solve_pde_variable_coeff if has_var else solve_fourier_deterministic
@@ -814,7 +815,16 @@ def test_fbsde_crosscheck_is_the_np_interp_crosscheck():
         a_xt=lambda t: 1.0 + 0.3 * np.cos(grid.x) + 0.2 * t,
         c=lambda t: -0.1 * (1.0 + np.cos(grid.x)),
     )
-    for data, probes in ((fk, [(0.25, -2.3), (0.0, 0.0)]), (var, [(0.0, 1.0), (0.5, -np.pi)])):
+    # a non-round time-only a: the particles power one number, the reference
+    # a field of copies of it
+    tv = BSPDEData(
+        grid=FB_GRID, alpha=1.6, T=1.0,
+        a=CoefficientA.from_callable(lambda t: 1.0 + 0.3 * np.cos(t), t_max=1.0),
+        g=np.cos(FB_GRID.x), c=lambda t: np.full(FB_GRID.n, -0.2),
+    )
+    cases = ((fk, [(0.25, -2.3), (0.0, 0.0)]), (var, [(0.0, 1.0), (0.5, -np.pi)]),
+             (tv, [(0.0, 0.4), (0.5, -1.0)]))
+    for data, probes in cases:
         args = (data, probes, RngStream(11, 800), 3000, 64, 24)
         got = fbsde_crosscheck(*args[:3], n_paths=args[3], n_steps_solver=args[4], n_steps_mc=args[5])
         assert _probe_tuples(got) == _interp_crosscheck(*args)
@@ -830,24 +840,33 @@ def test_fbsde_crosscheck_rejects_a_field_non_finite_at_a_particle_time():
                          n_steps_solver=128, n_steps_mc=48)
 
 
-def _per_step_rebuild(data, n_steps):
-    """solve_pde_variable_coeff's march with the frozen factors rebuilt every step."""
+def _per_step_rebuild(data, n_steps, broadcast=False):
+    """solve_pde_variable_coeff's march with the frozen factors rebuilt every step.
+
+    broadcast=True is the earlier march for a time-only a (no a_xt): it read a
+    as the field a(t) * ones, froze its mean, and stepped the residual
+    a - mean(a * ones), which is rounding error only."""
     g = data.grid
     times = np.linspace(0.0, data.T, n_steps + 1)
     dt = data.T / n_steps
     lam = frac_lap_multiplier(g, data.alpha)
     d1 = derivative_multiplier(g, 1)
-    a_xt = data.a_xt or (lambda t: data.a(np.asarray([t]))[0] * np.ones(g.n))
+    a_xt = data.a_xt
+    if a_xt is None and broadcast:
+        a_xt = lambda t: data.a(np.asarray([t]))[0] * np.ones(g.n)
     b_fn = data.b or (lambda t: np.zeros(g.n))
     c_fn = data.c or (lambda t: np.zeros(g.n))
     u_hat = np.fft.fft(data.deterministic_g()).astype(complex)
     out = [np.real(np.fft.ifft(u_hat))]
     for i in range(n_steps - 1, -1, -1):
         t_hi = times[i + 1]
-        a_bars = np.array([float(np.mean(np.asarray(a_xt(times[i] + q * dt), dtype=float)))
-                           for q in (0.0, 0.25, 0.5, 0.75, 1.0)])
-        a_hi, b_hi, c_hi = (np.asarray(fn(t_hi), dtype=float) for fn in (a_xt, b_fn, c_fn))
-        abar_hi, bbar, cbar = (float(np.mean(v)) for v in (a_hi, b_hi, c_hi))
+        quarter = [times[i] + q * dt for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        if a_xt is None:
+            a_bars = np.array([data.a.at(t) for t in quarter])
+        else:
+            a_bars = np.array([float(np.mean(np.asarray(a_xt(t), dtype=float))) for t in quarter])
+        b_hi, c_hi = (np.asarray(fn(t_hi), dtype=float) for fn in (b_fn, c_fn))
+        bbar, cbar = (float(np.mean(v)) for v in (b_hi, c_hi))
         A_half = dt / 12.0 * (a_bars[0] + 4.0 * a_bars[1] + a_bars[2])
         A_full = A_half + dt / 12.0 * (a_bars[2] + 4.0 * a_bars[3] + a_bars[4])
         exp_half = -A_half * lam + 0.5 * cbar * dt + 0.5 * d1 * bbar * dt
@@ -855,8 +874,11 @@ def _per_step_rebuild(data, n_steps):
         mult = np.exp(exp_full)
         w_load = dt / 6.0 * (1.0 + 4.0 * np.exp(exp_half) + mult)
         u = out[-1]
-        expl = (-(a_hi - abar_hi) * np.real(np.fft.ifft(lam * u_hat))
-                + (b_hi - bbar) * apply_multiplier(u, d1) + (c_hi - cbar) * u)
+        expl = (b_hi - bbar) * apply_multiplier(u, d1)
+        if a_xt is not None:
+            a_hi = np.asarray(a_xt(t_hi), dtype=float)
+            expl = -(a_hi - float(np.mean(a_hi))) * np.real(np.fft.ifft(lam * u_hat)) + expl
+        expl = expl + (c_hi - cbar) * u
         if data.f is not None:
             expl = expl + np.asarray(data.f(t_hi), dtype=float)
         u_hat = mult * u_hat + w_load * np.fft.fft(expl)
@@ -864,7 +886,10 @@ def _per_step_rebuild(data, n_steps):
     return np.stack(out[::-1])
 
 
-@pytest.mark.parametrize("coeffs", ["constant", "varying", "piecewise"])
+TIME_VARYING_A = CoefficientA.from_callable(lambda t: 1.0 + 0.3 * np.cos(t), t_max=1.0)
+
+
+@pytest.mark.parametrize("coeffs", ["constant", "varying", "piecewise", "time_only_a"])
 def test_frozen_factors_built_once_are_the_per_step_rebuild(coeffs):
     x = GRID.x
     kw = {
@@ -877,7 +902,26 @@ def test_frozen_factors_built_once_are_the_per_step_rebuild(coeffs):
         # the means jump at t = 1/2: rebuilt there, reused on either side
         "piecewise": dict(c=lambda t: np.full(GRID.n, -0.2 if t < 0.5 else 0.1),
                           b=lambda t: np.full(GRID.n, 0.0 if t < 0.5 else -0.0)),
+        # a read as a number at every quarter point, the means rebuilt every step
+        "time_only_a": dict(a=TIME_VARYING_A, c=lambda t: np.full(GRID.n, -0.2),
+                            b=lambda t: 0.3 * np.sin(XI1 * x)),
     }[coeffs]
     data = make_data(g=np.cos(XI1 * x) + 0.5 * np.sin(3 * XI1 * x), **kw)
     got = solve_pde_variable_coeff(data, n_steps=32)
     assert _bits(got.u) == _bits(_per_step_rebuild(data, 32))
+
+
+@pytest.mark.parametrize("a", [CoefficientA.constant(1.0), CoefficientA.constant(0.7), TIME_VARYING_A])
+def test_time_only_a_march_is_the_broadcast_march_up_to_round_off(a):
+    # the broadcast march stepped a - mean(a * ones): exactly 0 at a = 1,
+    # rounding error otherwise, which moves u by round-off only
+    x = GRID.x
+    data = make_data(a=a, g=np.cos(XI1 * x) + 0.5 * np.sin(3 * XI1 * x),
+                     b=lambda t: 0.3 * np.sin(XI1 * x), c=lambda t: np.full(GRID.n, -0.2),
+                     f=lambda t: 0.1 * np.cos(XI1 * x))
+    got = solve_pde_variable_coeff(data, n_steps=64).u
+    ref = _per_step_rebuild(data, 64, broadcast=True)
+    if a.lower == a.upper == 1.0:
+        assert _bits(got) == _bits(ref)
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

