@@ -44,7 +44,7 @@ from .grid import (
 )
 from .kernel import CoefficientA, eval_A
 from .levy import FeynmanKacResult, RngStream, feynman_kac_estimate
-from .regression import design_matrix, project_expectation
+from .regression import design_matrix, factor_coarse_block, project_expectation
 
 __all__ = [
     "PathFunctional",
@@ -599,13 +599,19 @@ def regress_backward(
     Step i makes one projection onto the degree-2 design of the path up to i,
         [Z_i, Y'_i] = E[[Y_{i+1} dW_i / dt, Y_{i+1} + dt drift(i, Y_{i+1})] | F_i],
     and sets Y_i = Y'_i + dt vol(i) Z_i: since Z_i lies in the design span, this
-    is the projection of Y_{i+1} + dt (drift + vol Z_i).  The scheme leaves Z at
-    T undefined; it is reported as the fit of the last step, N - 1.  Returns Y,
-    Z (paths, out_idx, columns), the fitted-value standard error of Z
-    (out_idx, columns) and the largest design condition number.
+    is the projection of Y_{i+1} + dt (drift + vol Z_i).  The scheme leaves Z
+    at T undefined; it is reported as the fit of the last step, N - 1.
+
+    The design's leading columns are the monomials in W at the coarse steps
+    before i (regression.design_matrix), which change only when i crosses a
+    coarse step: their QR is taken once per such segment, and each step
+    orthogonalises only its columns in W_i against it.  Returns Y, Z (paths,
+    out_idx, columns), the fitted-value standard error of Z (out_idx,
+    columns) and the largest design condition number.
     """
     n_paths, n_steps = increments.shape
     w_cum = _brownian_path(increments)
+    coarse_steps = np.asarray(coarse_steps)
     pos = {int(i): r for r, i in enumerate(out_idx)}
     Y = terminal
     cols = Y.shape[1]
@@ -615,10 +621,16 @@ def regress_backward(
     if n_steps in pos:
         Y_out[:, pos[n_steps]] = Y
     max_cond = 0.0
+    segment = None
     for i in range(n_steps - 1, -1, -1):
         design = design_matrix(w_cum, i, coarse_steps)
+        coarse_before = int(np.count_nonzero(coarse_steps < i))
+        if coarse_before != segment:  # a new coarse segment: factor its shared columns once
+            segment, leading = coarse_before, factor_coarse_block(design, i, coarse_steps)
         targets = np.hstack([Y * (increments[:, i][:, None] / dt), Y + dt * drift(i, Y)])
-        fitted, se, cond = project_expectation(design, targets, cond_threshold, se_cols=cols)
+        fitted, se, cond = project_expectation(
+            design, targets, cond_threshold, se_cols=cols, leading=leading
+        )
         Z = fitted[:, :cols]
         Y = fitted[:, cols:] + dt * vol(i) * Z
         max_cond = max(max_cond, cond)

@@ -447,7 +447,9 @@ def cmd_solve_bspde(cfg: dict) -> int:
             }
         )
     if cfg["report"]:
-        _dump_json({"config": cfg, "probes": probe_report}, cfg["report"])
+        # the regression's health figure: its largest design condition number
+        cond = float(reg.meta["max_design_cond"])
+        _dump_json({"config": cfg, "probes": probe_report, "max_design_cond": cond}, cfg["report"])
     return 0
 
 

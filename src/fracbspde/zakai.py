@@ -391,6 +391,35 @@ def cost_functional(
 
 # --- adjoint -----------------------------------------------------------------------
 
+_SYMBOL_LIMIT = 1.0 + 1e-12  # round-off slack: the mean mode sits at exactly 1
+
+
+def _adjoint_symbol(
+    problem: ControlProblem, policy: ControlPolicy, n_steps: int
+) -> tuple[float, int]:
+    """The adjoint's forward-Euler symbol on n_steps steps, max over modes of
+    |1 - dt a(t_{i+1}) lam + dt K d1| with K = max |k(t_{i+1}, u(t_i))| over the
+    steps the drift reads, and the step count that brings it to 1, from
+    dt <= 2 a lam / (a^2 lam^2 + K^2 xi^2) per mode."""
+    dt = problem.T / n_steps
+    times = np.linspace(0.0, problem.T, n_steps + 1)
+    lam = frac_lap_multiplier(problem.grid, problem.alpha)
+    d1 = derivative_multiplier(problem.grid, 1)
+    K = max(_k_sup(problem, t, policy.value_at(s)) for s, t in zip(times[:-1], times[1:]))
+    a = np.sort([problem.a.at(t) for t in times[1:]])[[0, -1], None]  # |symbol|^2 convex in a
+    symbol = float(np.abs(1.0 - dt * a * lam + dt * K * d1).max())
+    dt_max = np.min(2 * a * lam[1:] / np.abs(a * lam[1:] - K * d1[1:]) ** 2)  # lam[0] = 0
+    return symbol, int(np.ceil(problem.T / dt_max))
+
+
+def _check_adjoint_symbol(problem: ControlProblem, policy: ControlPolicy, n_steps: int) -> None:
+    symbol, steps_to_pass = _adjoint_symbol(problem, policy, n_steps)
+    if symbol > _SYMBOL_LIMIT:
+        raise StabilityError(
+            f"explicit adjoint symbol |1 - dt a |xi|^alpha + i dt k xi| = {symbol:.5g} > 1; "
+            f"raise n_steps to at least {steps_to_pass}"
+        )
+
 
 def solve_adjoint(
     problem: ControlProblem,
@@ -409,25 +438,21 @@ def solve_adjoint(
     h == 0 the updates are deterministic and reproduce the backward PDE with
     transport coefficient k.
 
+    The regression design holds the degree-2 monomials in Y at the coarse
+    steps (up to six, evenly spaced) before the current one and at the current
+    step, coarse-only columns first: the steps between two coarse steps share
+    those columns' QR, so a 24-step run factors 6 full designs instead of 24.
+
     The step is forward Euler on L*: its symbol |1 - dt a(t_{i+1}) lam + dt K d1|,
     K = max |k(t_{i+1}, u(t_i))| over the steps the drift reads, must not exceed 1
     at any mode, or StabilityError names the n_steps that passes, from
-    dt <= 2 a lam / (a^2 lam^2 + K^2 xi^2) per mode.  A non-finite q or l is BlowUp.
+    dt <= 2 a lam / (a^2 lam^2 + K^2 xi^2) per mode (_adjoint_symbol).  A
+    non-finite q or l is BlowUp.
     """
     g = problem.grid
     dt = problem.T / n_steps
     times = np.linspace(0.0, problem.T, n_steps + 1)
-    lam = frac_lap_multiplier(g, problem.alpha)
-    d1 = derivative_multiplier(g, 1)
-    K = max(_k_sup(problem, t, policy.value_at(s)) for s, t in zip(times[:-1], times[1:]))
-    a = np.sort([problem.a.at(t) for t in times[1:]])[[0, -1], None]  # |symbol|^2 convex in a
-    symbol = float(np.abs(1.0 - dt * a * lam + dt * K * d1).max())
-    if symbol > 1.0 + 1e-12:  # round-off slack: the mean mode sits at exactly 1
-        dt_max = np.min(2 * a * lam[1:] / np.abs(a * lam[1:] - K * d1[1:]) ** 2)  # lam[0] = 0
-        raise StabilityError(
-            f"explicit adjoint symbol |1 - dt a |xi|^alpha + i dt k xi| = {symbol:.5g} > 1; "
-            f"raise n_steps to at least {int(np.ceil(problem.T / dt_max))}"
-        )
+    _check_adjoint_symbol(problem, policy, n_steps)
     coarse_steps = np.unique(
         np.round(np.linspace(0, n_steps, min(6, n_steps) + 1)).astype(int)
     )[1:]
@@ -559,9 +584,10 @@ def verify_maximum_principle(
     the midpoint of a policy interval; tol = 3 (stderr + discretization
     estimate).  When no discretization estimate is supplied, the pipeline is
     re-run at half the step count on the first 512 paths and the worst
-    margin shift is used; that probe's transport CFL rule is checked first,
-    and a StabilityError names the n_steps that satisfies it.  Fewer than 2
-    paths (no standard error) raise ValueError.
+    margin shift is used; that probe's transport CFL number and adjoint
+    symbol (after the full run's) are checked first, and a StabilityError
+    names the n_steps that satisfies them.  Fewer than 2 paths (no standard
+    error) raise ValueError.
     """
     if y_inc.shape[0] < 2:
         raise ValueError(f"need at least 2 observation paths, got {y_inc.shape[0]}")
@@ -593,6 +619,15 @@ def verify_maximum_principle(
                 f"transport CFL number {number:.3g} > 1 in the refinement probe at "
                 f"n_steps / 2 = {n_steps // 2} steps; raise n_steps to at least "
                 f"{2 * int(np.ceil(n_steps // 2 * number))}"
+            )
+        # the full run's adjoint would fail first, and names its own count
+        _check_adjoint_symbol(problem, policy, n_steps)
+        symbol, steps_to_pass = _adjoint_symbol(problem, policy, n_steps // 2)
+        if symbol > _SYMBOL_LIMIT:
+            raise StabilityError(
+                f"explicit adjoint symbol {symbol:.5g} > 1 in the refinement probe at "
+                f"n_steps / 2 = {n_steps // 2} steps; raise n_steps to at least "
+                f"{2 * steps_to_pass}"
             )
     full = margins(y_inc, n_steps)
     if discretization_estimate is None:

@@ -89,6 +89,40 @@ def test_kernel_solver_agrees_with_fourier():
     assert np.max(np.abs(sf.u - sk.u)) < 1e-8
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(1.0, 2.0, exclude_min=True),
+    n=st.sampled_from([32, 64, 128, 256]),
+    n_steps=st.integers(1, 40),
+    varying_a=st.booleans(),
+    with_f=st.booleans(),
+)
+def test_fourier_and_kernel_solvers_agree_to_round_off(seed, alpha, n, n_steps, varying_a, with_f):
+    # the two routes apply the same multipliers with the same time weights,
+    # summed in Fourier and in physical space: they differ by round-off, up to
+    # 0.68 eps log2(n) (max|g| + T max|f|) on 300 draws of rough data
+    rng = np.random.default_rng(seed)
+    half = rng.uniform(4.0, 40.0)
+    grid = Grid1D(-half, half, n)
+    T = rng.uniform(0.1, 2.0)
+    a0 = rng.uniform(0.1, 3.0)
+    if varying_a:
+        a1, omega = rng.uniform(0.0, 0.45), rng.uniform(0.5, 5.0)
+        a = CoefficientA.from_callable(lambda t: a0 * (1 + a1 * np.sin(omega * t)), t_max=T)
+    else:
+        a = CoefficientA.constant(a0)
+    g = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+    prof = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3) if with_f else np.zeros(n)
+    omega_f, phase = rng.uniform(0.0, 5.0), rng.uniform(0.0, 2 * np.pi)
+    f = (lambda t: prof * np.cos(omega_f * t + phase)) if with_f else None
+    data = BSPDEData(grid=grid, alpha=alpha, T=T, a=a, g=g, f=f)
+    sf = solve_fourier_deterministic(data, n_steps=n_steps)
+    sk = solve_kernel_deterministic(data, n_steps=n_steps)
+    bound = 8 * np.finfo(float).eps * np.log2(n) * (np.abs(g).max() + T * np.abs(prof).max())
+    assert np.abs(sf.u - sk.u).max() <= bound
+
+
 def test_kernel_solver_bump_spreads_like_gaussian():
     # alpha = 2: convolving a Gaussian bump with the kernel adds 2 A to the
     # variance, so the solution is the widened Gaussian in closed form
