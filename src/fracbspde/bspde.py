@@ -371,7 +371,8 @@ def solve_pde_variable_coeff(
     -(a - a_bar) (-Delta)^(alpha/2) u + (b - b_bar) u_x + (c - c_bar) u + f
     is stepped explicitly, giving first-order temporal convergence and
     exactness whenever the residual vanishes.  Without a_xt, a_bar is the
-    time-only data.a.at(t) and the residual has no a term.
+    time-only data.a.at(t) and the residual has no a term; without b it has no
+    transport term.
 
     The frozen one-step factors (exp of the frozen symbol over the step and
     the Simpson weights of the load) depend only on (A_half, A_full, c_bar,
@@ -387,7 +388,7 @@ def solve_pde_variable_coeff(
     xi_max = float(np.max(np.abs(g.xi)))
 
     a_xt = data.a_xt
-    b_fn = data.b or (lambda t: np.zeros(g.n))
+    b_fn = data.b
     c_fn = data.c or (lambda t: np.zeros(g.n))
     f_fn = data.deterministic_f()
 
@@ -400,7 +401,7 @@ def solve_pde_variable_coeff(
 
     # stability of the explicit residual, sampled at step times (a NaN spread is skipped)
     worst_frac = 0.0 if a_xt is None else max(0.0, *(spread(a_xt, t) for t in times))
-    worst_trans = max(0.0, *(spread(b_fn, t) for t in times))
+    worst_trans = 0.0 if b_fn is None else max(0.0, *(spread(b_fn, t) for t in times))
     frac_number = worst_frac * xi_max**data.alpha * dt
     trans_number = worst_trans * xi_max * dt
     if frac_number > 1.0 or trans_number > 1.0:
@@ -420,12 +421,14 @@ def solve_pde_variable_coeff(
     u[out_idx == n_steps] = u_field
     quarter = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     frozen_key = None  # bit pattern of the (A_half, A_full, c_bar, b_bar) behind mult, w_load
+    bbar = 0.0
     for i in range(n_steps - 1, -1, -1):
         t_hi = times[i + 1]
         a_bars = np.array([a_bar(times[i] + q * dt) for q in quarter])
-        b_hi = np.asarray(b_fn(t_hi), dtype=float)
+        if b_fn is not None:
+            b_hi = np.asarray(b_fn(t_hi), dtype=float)
+            bbar = float(np.mean(b_hi))
         c_hi = np.asarray(c_fn(t_hi), dtype=float)
-        bbar = float(np.mean(b_hi))
         cbar = float(np.mean(c_hi))
 
         # frozen one-step backward factor exp(-dA lam + c_bar dt + i xi b_bar dt):
@@ -444,7 +447,8 @@ def solve_pde_variable_coeff(
             w_load = dt / 6.0 * (1.0 + 4.0 * np.exp(exp_half) + mult)
             frozen_key = None if np.isnan(key).any() else key.tobytes()
 
-        expl = (b_hi - bbar) * apply_multiplier(u_field, d1)
+        # summed b, a, c, f in this order whether or not b is given: the order fixes the bits
+        expl = 0.0 if b_fn is None else (b_hi - bbar) * apply_multiplier(u_field, d1)
         if a_xt is not None:
             a_hi = np.asarray(a_xt(t_hi), dtype=float)  # against its own mean at t_hi
             expl = expl - (a_hi - float(np.mean(a_hi))) * np.real(np.fft.ifft(lam * u_hat))

@@ -59,6 +59,7 @@ from .zakai import (
     ControlPolicy,
     ControlProblem,
     brute_force_optimal_control,
+    check_step_count,
     solve_zakai,
     verify_maximum_principle,
 )
@@ -567,6 +568,10 @@ def cmd_control(cfg: dict) -> int:
         U=tuple(float(v) for v in cfg["controls"]),
         p0=_unit_gaussian_density(grid, 1.0, "grid"),
     )
+    # k(t, v) = v, so the constant policy at the largest |v| has the largest CFL
+    # numbers and adjoint symbols of every policy the search can pick
+    worst = ControlPolicy.constant(max(prob.U, key=abs), cfg["T"])
+    check_step_count(prob, worst, cfg["steps"], multiple=4 * m)
     y_inc = simulate_brownian_increments(
         PathGrid(0.0, cfg["T"], cfg["steps"]), RngStream(cfg["seed"]), cfg["paths"]
     )
@@ -598,7 +603,17 @@ def cmd_control(cfg: dict) -> int:
         },
         cfg["output"],
     )
-    return 0 if rep.passed else 1
+    if rep.passed:
+        return 0
+    # a failed margin is the first-order rate at which a short spike of v at t lowers the cost
+    bad = min((e for e in rep.entries if not e.passed), key=lambda e: e.margin)
+    print(
+        f"maximum principle fails at t = {bad.t:g}, v = {bad.v:g}: margin {bad.margin:.4g} "
+        f"< -{bad.tolerance:.4g} (tolerance); switching to v near t lowers the cost, "
+        "so more intervals (a finer policy class) give a lower cost",
+        file=sys.stderr,
+    )
+    return 1
 
 
 # --- verify-all ------------------------------------------------------------------------

@@ -231,11 +231,19 @@ def _offset_bounds(arr: np.ndarray, dt: float, kind: str, offsets: np.ndarray) -
         pair = np.add.outer(r, r)
         np.square(pair, out=pair)  # (sqrt d_x + sqrt d_y)^2
     widen = 4.0 * gamma * d.max() + floor
-    bounds = np.array([pair.diagonal(m).max() for m in offsets]) + widen
-    del pair
+    # skew[x, m] = pair[x, x + m] (pair is C-contiguous) while x + m < n; the
+    # rest of each column wraps into the lower triangle and is masked out
+    skew = np.lib.stride_tricks.as_strided(
+        pair, (n - 1, n), (pair.strides[0] + pair.strides[1], pair.strides[1]), writeable=False
+    )
+    inside = np.arange(n - 1)[:, None] < n - np.arange(n)
+    bounds = np.max(skew, axis=0, where=inside, initial=-np.inf)[offsets] + widen
+    del pair, skew, inside
     if kind == "s2":  # the chain of neighbour steps; cum[x + m] - cum[x] sums them
         cum = np.concatenate(([0.0], np.cumsum(np.sqrt(_pair_mean_sq(arr, 1, dt, kind) + floor))))
-        chain = np.array([(cum[m:] - cum[:-m]).max() for m in offsets])
+        # ahead[m, x] = cum[x + m], and -inf past the end, where no pair starts
+        ahead = np.lib.stride_tricks.sliding_window_view(np.append(cum, np.full(n, -np.inf)), n)
+        chain = (ahead[offsets] - cum).max(axis=1)
         bounds = np.minimum(bounds, ((chain + gamma * cum[-1]) * (1.0 + gamma)) ** 2 + floor)
     return bounds
 

@@ -56,6 +56,7 @@ __all__ = [
     "BruteForceResult",
     "brute_force_optimal_control",
     "MaxPrincipleReport",
+    "check_step_count",
     "verify_maximum_principle",
 ]
 
@@ -396,20 +397,21 @@ _SYMBOL_LIMIT = 1.0 + 1e-12  # round-off slack: the mean mode sits at exactly 1
 
 def _adjoint_symbol(
     problem: ControlProblem, policy: ControlPolicy, n_steps: int
-) -> tuple[float, int]:
+) -> tuple[float, float]:
     """The adjoint's forward-Euler symbol on n_steps steps, max over modes of
     |1 - dt a(t_{i+1}) lam + dt K d1| with K = max |k(t_{i+1}, u(t_i))| over the
     steps the drift reads, and the step count that brings it to 1, from
-    dt <= 2 a lam / (a^2 lam^2 + K^2 xi^2) per mode."""
+    dt <= 2 a lam / (a^2 lam^2 + K^2 xi^2) per mode (inf when K^2 overflows)."""
     dt = problem.T / n_steps
     times = np.linspace(0.0, problem.T, n_steps + 1)
     lam = frac_lap_multiplier(problem.grid, problem.alpha)
     d1 = derivative_multiplier(problem.grid, 1)
     K = max(_k_sup(problem, t, policy.value_at(s)) for s, t in zip(times[:-1], times[1:]))
     a = np.sort([problem.a.at(t) for t in times[1:]])[[0, -1], None]  # |symbol|^2 convex in a
-    symbol = float(np.abs(1.0 - dt * a * lam + dt * K * d1).max())
-    dt_max = np.min(2 * a * lam[1:] / np.abs(a * lam[1:] - K * d1[1:]) ** 2)  # lam[0] = 0
-    return symbol, int(np.ceil(problem.T / dt_max))
+    with np.errstate(over="ignore", divide="ignore"):
+        symbol = float(np.abs(1.0 - dt * a * lam + dt * K * d1).max())
+        dt_max = np.min(2 * a * lam[1:] / np.abs(a * lam[1:] - K * d1[1:]) ** 2)  # lam[0] = 0
+        return symbol, float(np.ceil(problem.T / dt_max))
 
 
 def _check_adjoint_symbol(problem: ControlProblem, policy: ControlPolicy, n_steps: int) -> None:
@@ -417,8 +419,39 @@ def _check_adjoint_symbol(problem: ControlProblem, policy: ControlPolicy, n_step
     if symbol > _SYMBOL_LIMIT:
         raise StabilityError(
             f"explicit adjoint symbol |1 - dt a |xi|^alpha + i dt k xi| = {symbol:.5g} > 1; "
-            f"raise n_steps to at least {steps_to_pass}"
+            f"raise n_steps to at least {steps_to_pass:.0f}"
         )
+
+
+def check_step_count(
+    problem: ControlProblem, policy: ControlPolicy, n_steps: int, multiple: int = 2
+) -> None:
+    """Check the stability guards of verify_maximum_principle's runs of policy:
+    the transport CFL number and the adjoint's forward-Euler symbol, each on
+    n_steps (even) and on the refinement probe's n_steps / 2.
+
+    StabilityError names the first guard that fails and the least multiple of
+    multiple (even) at which all four pass: the largest of the counts the
+    guards' own formulas give, which are exact when a and k do not depend on t.
+    """
+    half = n_steps // 2
+    runs = ((1, n_steps, ""), (2, half, f" in the refinement probe at n_steps / 2 = {half} steps"))
+    guards = []  # (failed, what failed, the n_steps that passes it), CFL numbers first
+    for scale, steps, where in runs:
+        number = _policy_cfl_number(problem, policy, steps)
+        guards.append((number > 1.0, f"transport CFL number {number:.3g} > 1{where}",
+                       scale * np.ceil(steps * number)))
+    for scale, steps, where in runs:
+        symbol, to_pass = _adjoint_symbol(problem, policy, steps)
+        guards.append((symbol > _SYMBOL_LIMIT, f"explicit adjoint symbol {symbol:.5g} > 1{where}",
+                       scale * to_pass))
+    failed = [what for bad, what, _ in guards if bad]
+    if failed:
+        need = np.ceil(max(count for _, _, count in guards) / multiple) * multiple
+        fix = "the n_steps that passes overflows"
+        if np.isfinite(need):
+            fix = f"raise n_steps to at least {need:.0f}"
+        raise StabilityError(f"{failed[0]}; {fix}")
 
 
 def solve_adjoint(
@@ -584,10 +617,9 @@ def verify_maximum_principle(
     the midpoint of a policy interval; tol = 3 (stderr + discretization
     estimate).  When no discretization estimate is supplied, the pipeline is
     re-run at half the step count on the first 512 paths and the worst
-    margin shift is used; that probe's transport CFL number and adjoint
-    symbol (after the full run's) are checked first, and a StabilityError
-    names the n_steps that satisfies them.  Fewer than 2 paths (no standard
-    error) raise ValueError.
+    margin shift is used; both runs' stability guards are checked first
+    (check_step_count).  Fewer than 2 paths (no standard error) raise
+    ValueError.
     """
     if y_inc.shape[0] < 2:
         raise ValueError(f"need at least 2 observation paths, got {y_inc.shape[0]}")
@@ -612,23 +644,7 @@ def verify_maximum_principle(
     if discretization_estimate is None:
         if n_steps % 2:
             raise ValueError("n_steps must be even for the internal refinement probe")
-        # checked before the full run, and named in the step count passed here
-        number = _policy_cfl_number(problem, policy, n_steps // 2)
-        if number > 1.0:
-            raise StabilityError(
-                f"transport CFL number {number:.3g} > 1 in the refinement probe at "
-                f"n_steps / 2 = {n_steps // 2} steps; raise n_steps to at least "
-                f"{2 * int(np.ceil(n_steps // 2 * number))}"
-            )
-        # the full run's adjoint would fail first, and names its own count
-        _check_adjoint_symbol(problem, policy, n_steps)
-        symbol, steps_to_pass = _adjoint_symbol(problem, policy, n_steps // 2)
-        if symbol > _SYMBOL_LIMIT:
-            raise StabilityError(
-                f"explicit adjoint symbol {symbol:.5g} > 1 in the refinement probe at "
-                f"n_steps / 2 = {n_steps // 2} steps; raise n_steps to at least "
-                f"{2 * steps_to_pass}"
-            )
+        check_step_count(problem, policy, n_steps)
     full = margins(y_inc, n_steps)
     if discretization_estimate is None:
         sub = y_inc[:512]

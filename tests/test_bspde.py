@@ -923,7 +923,7 @@ def _per_step_rebuild(data, n_steps, broadcast=False):
 TIME_VARYING_A = CoefficientA.from_callable(lambda t: 1.0 + 0.3 * np.cos(t), t_max=1.0)
 
 
-@pytest.mark.parametrize("coeffs", ["constant", "varying", "piecewise", "time_only_a"])
+@pytest.mark.parametrize("coeffs", ["constant", "varying", "piecewise", "time_only_a", "no_b"])
 def test_frozen_factors_built_once_are_the_per_step_rebuild(coeffs):
     x = GRID.x
     kw = {
@@ -939,6 +939,10 @@ def test_frozen_factors_built_once_are_the_per_step_rebuild(coeffs):
         # a read as a number at every quarter point, the means rebuilt every step
         "time_only_a": dict(a=TIME_VARYING_A, c=lambda t: np.full(GRID.n, -0.2),
                             b=lambda t: 0.3 * np.sin(XI1 * x)),
+        # no transport: the march skips the b term, the reference steps b = 0
+        "no_b": dict(a_xt=lambda t: 1.0 + 0.2 * t + 0.1 * np.cos(XI1 * x),
+                     c=lambda t: -0.2 * t * (1.0 + np.cos(XI1 * x)),
+                     f=lambda t: 0.3 * np.cos(XI1 * x)),
     }[coeffs]
     data = make_data(g=np.cos(XI1 * x) + 0.5 * np.sin(3 * XI1 * x), **kw)
     got = solve_pde_variable_coeff(data, n_steps=32)

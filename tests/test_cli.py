@@ -663,7 +663,39 @@ def test_control_adjoint_symbol_over_one_exits_1(tmp_path, capsys):
     out = tmp_path / "control.json"
     assert main(["control", "--config", str(path), "--output", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: explicit adjoint symbol |1 - dt a |xi|^alpha + i dt k xi| = 1.5607 > 1; "
-        "raise n_steps to at least 43\n"
+        "error: explicit adjoint symbol 1.5607 > 1; raise n_steps to at least 88\n"
     )
     assert not out.exists()
+
+
+def _six_six_control(tmp_path, steps):
+    path = tmp_path / f"c{steps}.json"
+    cfg = {"controls": [-6.0, 6.0], "paths": 64, "intervals": 1, "steps": steps}
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / f"control{steps}.json"
+    return main(["control", "--config", str(path), "--output", str(out)]), out
+
+
+def test_control_names_the_least_step_count_that_passes(tmp_path, capsys):
+    # each guard's own count was 43 (the full run's adjoint symbol), then 86
+    # (the probe's), which is no multiple of 4 * intervals; 88 passes all four
+    for steps, guard in ((44, "explicit adjoint symbol 1.7002 > 1 in the refinement probe "
+                               "at n_steps / 2 = 22 steps"),
+                         (84, "explicit adjoint symbol 1.0098 > 1 in the refinement probe "
+                               "at n_steps / 2 = 42 steps")):
+        code, out = _six_six_control(tmp_path, steps)
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == f"error: {guard}; raise n_steps to at least 88\n"
+
+
+def test_control_failed_margin_says_what_it_means(tmp_path, capsys):
+    # 88 steps pass every guard; the one-interval optimum u = 6 is beaten by a
+    # short spike of v = -6, so the check fails with one line on stderr
+    code, out = _six_six_control(tmp_path, 88)
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["maximum_principle_passed"] is False
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("maximum principle fails at t = 0.25, v = -6: margin -46.37 < -2.094")
+    assert "more intervals" in err[0]

@@ -27,6 +27,7 @@ from fracbspde.zakai import (
     apply_L,
     apply_L_star,
     brute_force_optimal_control,
+    check_step_count,
     cost_functional,
     duality_defect,
     hamiltonian,
@@ -642,7 +643,9 @@ def test_policy_search_evaluates_k_once_per_step_time_and_value(monkeypatch):
 
 
 def test_refinement_probe_cfl_names_the_steps_to_pass(monkeypatch):
-    # k = 20 runs at CFL 0.83 on 24 steps but at 1.67 on the probe's 12
+    # k = 20 runs at CFL 0.83 on 24 steps but at 1.67 on the probe's 12; the
+    # probe's CFL count alone is 40, where the adjoint symbol is still 1.74,
+    # and 506 passes all four guards
     prob = drift_target_problem(U=(-20.0, 20.0))
     policy = ControlPolicy.constant(20.0, prob.T)
     y_inc = np.zeros((4, 24))
@@ -650,10 +653,15 @@ def test_refinement_probe_cfl_names_the_steps_to_pass(monkeypatch):
     with pytest.raises(
         StabilityError,
         match=r"^transport CFL number 1\.67 > 1 in the refinement probe at n_steps / 2 = 12 "
-        r"steps; raise n_steps to at least 40$",
+        r"steps; raise n_steps to at least 506$",
     ):
         verify_maximum_principle(prob, policy, y_inc, n_steps=24)
     assert zakai._policy_cfl_number(prob, policy, 20) <= 1.0 < zakai._policy_cfl_number(prob, policy, 19)
+    with pytest.raises(StabilityError, match=r"^explicit adjoint symbol 1\.7445 > 1; .* 506$"):
+        check_step_count(prob, policy, 40)
+    with pytest.raises(StabilityError, match="refinement probe at n_steps / 2 = 252 steps"):
+        check_step_count(prob, policy, 504)
+    check_step_count(prob, policy, 506)
 
 
 def test_refinement_probe_adjoint_symbol_names_the_steps_to_pass(monkeypatch):
@@ -670,6 +678,14 @@ def test_refinement_probe_adjoint_symbol_names_the_steps_to_pass(monkeypatch):
         verify_maximum_principle(prob, policy, np.zeros((4, 8)), n_steps=8)
     assert zakai._adjoint_symbol(prob, policy, 5)[0] <= zakai._SYMBOL_LIMIT
     assert zakai._adjoint_symbol(prob, policy, 4)[0] > zakai._SYMBOL_LIMIT
+
+
+def test_step_count_check_survives_a_k_whose_square_overflows():
+    # K^2 overflows in the adjoint's step count: a clean StabilityError, no
+    # OverflowError from int(inf) and no RuntimeWarning
+    prob = drift_target_problem(U=(1e200,))
+    with pytest.raises(StabilityError, match=r"^transport CFL number .* > 1; the n_steps that passes overflows$"):
+        check_step_count(prob, ControlPolicy.constant(1e200, prob.T), 24)
 
 
 def test_adjoint_symbol_check_names_the_steps_that_pass():
