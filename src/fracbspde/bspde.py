@@ -30,8 +30,9 @@ from .errors import (
     BlowUp,
     GridMismatch,
     InvalidExponent,
-    StabilityError,
+    StepRestriction,
     UnsupportedSpec,
+    check_step_restrictions,
 )
 from .fraclap import check_alpha, frac_lap_multiplier
 from .grid import (
@@ -402,15 +403,12 @@ def solve_pde_variable_coeff(
     # stability of the explicit residual, sampled at step times (a NaN spread is skipped)
     worst_frac = 0.0 if a_xt is None else max(0.0, *(spread(a_xt, t) for t in times))
     worst_trans = 0.0 if b_fn is None else max(0.0, *(spread(b_fn, t) for t in times))
-    frac_number = worst_frac * xi_max**data.alpha * dt
-    trans_number = worst_trans * xi_max * dt
-    if frac_number > 1.0 or trans_number > 1.0:
-        raise StabilityError(
-            "explicit residual violates the step restriction: "
-            f"|a - a_bar| xi_max^alpha dt = {frac_number:.3g}, "
-            f"|b - b_bar| xi_max dt = {trans_number:.3g} (limit 1.0); "
-            f"raise n_steps above {int(np.ceil(n_steps * max(frac_number, trans_number)))}"
-        )
+    check_step_restrictions([
+        StepRestriction("explicit residual number |a - a_bar| xi_max^alpha dt = {}",
+                        lambda n: worst_frac * xi_max**data.alpha * (data.T / n)),
+        StepRestriction("explicit residual number |b - b_bar| xi_max dt = {}",
+                        lambda n: worst_trans * xi_max * (data.T / n)),
+    ], n_steps)
 
     d1 = derivative_multiplier(g, 1)  # the unpaired Nyquist mode carries no transport phase
 
@@ -673,13 +671,11 @@ def solve_bspde_regression(
         mode_indices = np.array([0])
 
     lam = lam_full[mode_indices]
-    a_max = data.a.upper
-    stiff = float(np.max(lam)) * a_max * dt
-    if stiff > 1.0:
-        raise StabilityError(
-            f"explicit diffusion number a|xi|^alpha dt = {stiff:.3g} > 1 for a "
-            f"retained mode; raise n_steps above {int(np.ceil(n_steps * stiff))}"
-        )
+    stiff = float(np.max(lam)) * data.a.upper
+    check_step_restrictions([StepRestriction(
+        "explicit diffusion number a|xi|^alpha dt = {} for a retained mode",
+        lambda n: stiff * (data.T / n),
+    )], n_steps)
 
     gen = rng.generator()
     w_inc = gen.normal(0.0, np.sqrt(dt), (n_paths, n_steps))
@@ -966,6 +962,8 @@ def fbsde_crosscheck(
     The values equal np.interp(x, grid.x, field, period=grid.length) byte
     for byte, its special cases included.  A non-finite field raises BlowUp.
     Without a_xt the particles read a as one number per step, data.a.at(t).
+    Each probe's x snaps to its nearest node (Grid1D.nearest_node), and an x
+    outside [x_min, x_max] raises OutOfRange before any solve.
     """
     g = data.grid
     has_var_coeff = data.b is not None or data.c is not None or data.a_xt is not None
@@ -975,6 +973,7 @@ def fbsde_crosscheck(
             return solve_pde_variable_coeff(data, n_steps=n_steps)
         return solve_fourier_deterministic(data, n_steps=n_steps)
 
+    nodes = [g.nearest_node(x) for _, x in probes]
     fine = solve(n_steps_solver)
     coarse = solve(n_steps_solver // 2)
 
@@ -992,8 +991,7 @@ def fbsde_crosscheck(
     f_dt = data.deterministic_f()
 
     results = []
-    for idx, (t, x) in enumerate(probes):
-        xi_idx = int(np.argmin(np.abs(g.x - x)))
+    for idx, ((t, _), xi_idx) in enumerate(zip(probes, nodes)):
         pde_val = float(fine.u_at(t)[xi_idx])
         bound = abs(pde_val - float(coarse.u_at(t)[xi_idx])) + 1e-10
         mc = feynman_kac_estimate(

@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import kolmogi
-from scipy.stats import kstest
 
 from .bspde import (
     BSPDEData,
@@ -76,6 +75,16 @@ def _result(check_id, prop, ok, measured, tol, extras=None):
         tolerance=float(tol),
         extras=extras or {},
     )
+
+
+def _control_problem(grid: Grid1D, T: float, **fields) -> ControlProblem:
+    """alpha = 1.5, mu = 1 and a unit-mass N(0, 1) p0; k, h, f, g zero and U = (0,)
+    unless fields sets them."""
+    zeros = np.zeros(grid.n)
+    p0 = np.exp(-grid.x**2 / 2)
+    defaults = dict(alpha=1.5, mu=lambda t: 1.0, k=lambda t, v: zeros, h=lambda t: zeros,
+                    f=lambda t, v: zeros, g=zeros, U=(0.0,), p0=p0 / (p0.sum() * grid.dx))
+    return ControlProblem(grid=grid, T=T, **(defaults | fields))
 
 
 def _smooth(grid: Grid1D, rng, modes=6) -> np.ndarray:
@@ -229,6 +238,8 @@ def check_kernel_bound_stability(seed: int) -> CheckResult:
 
 
 def check_stable_kernel_duality(seed: int) -> CheckResult:
+    from scipy.stats import kstest  # imported here: only this check needs it
+
     alpha, T, n_paths = 1.5, 1.0, 100_000
     grid_t = PathGrid(0.0, T, 8)
     X = simulate_forward_sde(None, 1.0, alpha, 0.0, grid_t, RngStream(seed, 600), n_paths)
@@ -476,49 +487,23 @@ def check_holder_estimate(seed: int) -> CheckResult:
 
 def check_zakai_closed_form(seed: int) -> CheckResult:
     grid = Grid1D(-32.0, 32.0, 256)
-    p0 = np.exp(-grid.x**2 / 2)
-    p0 = p0 / (p0.sum() * grid.dx)
-    zeros = np.zeros(grid.n)
     h0, T, n_steps = 0.8, 0.5, 32
-    prob = ControlProblem(
-        grid=grid,
-        alpha=1.5,
-        T=T,
-        mu=lambda t: 1.0,
-        k=lambda t, v: zeros,
-        h=lambda t: np.full(grid.n, h0),
-        f=lambda t, v: zeros,
-        g=zeros,
-        U=(0.0,),
-        p0=p0,
-    )
+    prob = _control_problem(grid, T, h=lambda t: np.full(grid.n, h0))
+    p0 = prob.p0
     y_inc = simulate_brownian_increments(PathGrid(0.0, T, n_steps), RngStream(seed, 1100), 8)
     state = solve_zakai(prob, ControlPolicy.constant(0.0, T), y_inc, n_steps=n_steps)
     worst = 0.0
     base_hat = np.fft.fft(p0)
     lam = np.abs(grid.xi) ** 1.5
+    # pathwise check on the first path; the state holds every step, so row i is t_i
+    y_path = np.concatenate([[0.0], np.cumsum(y_inc[0])])
     for row, t in enumerate(state.times):
         base = np.real(np.fft.ifft(np.exp(-t * lam) * base_hat)) if t > 0 else p0
-        y_t = np.concatenate([[0.0], np.cumsum(y_inc, axis=1)[0]])[
-            int(round(t / (T / n_steps)))
-        ]
-        # pathwise check on the first path
-        expected = base * np.exp(h0 * y_t - 0.5 * h0**2 * t)
+        expected = base * np.exp(h0 * y_path[row] - 0.5 * h0**2 * t)
         worst = max(worst, float(np.max(np.abs(state.p[0, row] - expected))))
 
     # mass conservation with h = 0 and transport on
-    prob0 = ControlProblem(
-        grid=grid,
-        alpha=1.5,
-        T=T,
-        mu=lambda t: 1.0,
-        k=lambda t, v: 0.5 * np.sin(2 * np.pi * grid.x / grid.length),
-        h=lambda t: zeros,
-        f=lambda t, v: zeros,
-        g=zeros,
-        U=(0.0,),
-        p0=p0,
-    )
+    prob0 = _control_problem(grid, T, k=lambda t, v: 0.5 * np.sin(2 * np.pi * grid.x / grid.length))
     state0 = solve_zakai(
         prob0, ControlPolicy.constant(0.0, T), np.zeros((1, n_steps)), n_steps=n_steps
     )
@@ -541,25 +526,11 @@ def check_adjoint_duality(seed: int) -> CheckResult:
     grid = Grid1D(-32.0, 32.0, 128)
     xi1 = 2 * np.pi / grid.length
     rng = np.random.default_rng(seed)
-    p0 = np.exp(-grid.x**2 / 2)
-    p0 = p0 / (p0.sum() * grid.dx)
-    zeros = np.zeros(grid.n)
     k_field = 0.3 * np.sin(xi1 * grid.x)
     f_prof = 0.5 * np.cos(xi1 * grid.x)
     g_term = np.sin(xi1 * grid.x)
     T = 0.5
-    prob = ControlProblem(
-        grid=grid,
-        alpha=1.5,
-        T=T,
-        mu=lambda t: 1.0,
-        k=lambda t, v: k_field,
-        h=lambda t: zeros,
-        f=lambda t, v: f_prof,
-        g=g_term,
-        U=(0.0,),
-        p0=p0,
-    )
+    prob = _control_problem(grid, T, k=lambda t, v: k_field, f=lambda t, v: f_prof, g=g_term)
     phi, psi = _smooth(grid, rng), _smooth(grid, rng)
     scale = float(
         np.sqrt(np.sum(phi**2) * grid.dx) * np.sqrt(np.sum(psi**2) * grid.dx)
@@ -599,21 +570,11 @@ def check_adjoint_duality(seed: int) -> CheckResult:
 def check_maximum_principle(seed: int) -> CheckResult:
     n_paths = 10_000
     grid = Grid1D(-32.0, 32.0, 128)
-    p0 = np.exp(-grid.x**2 / 2)
-    p0 = p0 / (p0.sum() * grid.dx)
     weight = np.minimum((grid.x - 1.0) ** 2, 25.0)
     T = 0.5
-    prob = ControlProblem(
-        grid=grid,
-        alpha=1.5,
-        T=T,
-        mu=lambda t: 1.0,
-        k=lambda t, v: np.full(grid.n, v),
-        h=lambda t: 0.4 * np.tanh(grid.x / 4.0),
-        f=lambda t, v: 0.5 * weight,
-        g=weight,
-        U=(-0.5, 0.0, 0.5),
-        p0=p0,
+    prob = _control_problem(
+        grid, T, k=lambda t, v: np.full(grid.n, v), h=lambda t: 0.4 * np.tanh(grid.x / 4.0),
+        f=lambda t, v: 0.5 * weight, g=weight, U=(-0.5, 0.0, 0.5),
     )
     n_steps = 24
     y_inc = simulate_brownian_increments(

@@ -112,6 +112,8 @@ def _load_config(path: str | None, schema: dict, overrides: dict) -> dict:
                 f"got {type(value).__name__}",
                 key,
             )
+        if expected is float and not _is_number(value):  # json reads NaN and Infinity
+            raise ConfigError(f"{key} must be finite, got {value}", key)
         if key in COUNT_MINIMUM and value < COUNT_MINIMUM[key]:
             raise ConfigError(f"{key} must be >= {COUNT_MINIMUM[key]}, got {value}", key)
         if key in POSITIVE_KEYS and not (_is_number(value) and value > 0):
@@ -417,6 +419,10 @@ def cmd_solve_bspde(cfg: dict) -> int:
     if not all(isinstance(p, list) and len(p) == 2 and type(p[1]) in (int, float) for p in probes):
         raise ConfigError("each probe must be a [t, x] pair of numbers", "probe")
     probe_idx = _step_time_indices([t for t, _ in probes], cfg["T"], cfg["steps"], "probe")
+    try:
+        nodes = [grid.nearest_node(x) for _, x in probes]
+    except OutOfRange as exc:
+        raise ConfigError(str(exc), "probe") from exc
     quarter_idx = [round(q * cfg["steps"]) for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
     out_times = np.linspace(0.0, cfg["T"], cfg["steps"] + 1)[np.union1d(quarter_idx, probe_idx)]
     stream = RngStream(cfg["seed"])
@@ -435,8 +441,7 @@ def cmd_solve_bspde(cfg: dict) -> int:
             rows.append((t, xj, uj, vj))
     _write_rows(cfg["output"], ["t", "x", "u", "v"], rows)
     probe_report = []
-    for t, x in probes:
-        xi_idx = int(np.argmin(np.abs(grid.x - x)))
+    for (t, _), xi_idx in zip(probes, nodes):
         du = reg.u_values(t)[:, xi_idx] - closed.u_at(t)[:, xi_idx]
         probe_report.append(
             {

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one step-restriction guard."""
+
+import math
+from typing import Callable, NamedTuple, Sequence
 
 
 class FracBspdeError(Exception):
@@ -47,6 +50,46 @@ class UnsupportedOrder(FracBspdeError):
 
 class StabilityError(FracBspdeError):
     """Explicit part of a time stepper violates its stability restriction."""
+
+
+class StepRestriction(NamedTuple):
+    """A step-restriction number: number(n) on n steps, its sampled coefficients
+    held, must not exceed limit.  what names it, {} where "value > 1" goes;
+    steps is the count its own dt scaling passes at (None: n * number(n))."""
+
+    what: str
+    number: Callable[[int], float]
+    steps: float | None = None
+    limit: float = 1.0
+    digits: int = 3  # the least significant digits its value prints with
+
+
+def check_step_restrictions(restrictions: Sequence[StepRestriction], n_steps: int,
+                            multiple: int = 1) -> None:
+    """StabilityError naming the first restriction over its limit on n_steps, in the
+    digits it takes to read above it, and the least multiple of multiple at which all
+    pass: the largest failing own count, rounded up to a multiple, then stepped."""
+    failed = [(r, v) for r in restrictions if (v := r.number(n_steps)) > r.limit]  # NaN passes
+    if not failed:
+        return
+
+    def passes(n: int) -> bool:
+        return all(not r.number(n) > r.limit for r in restrictions)
+
+    count = max(n_steps * v if r.steps is None else r.steps for r, v in failed)
+    fix = "the n_steps that passes overflows"
+    if math.isfinite(count):
+        count = max(multiple, math.ceil(count / multiple) * multiple)
+        while count < 2**40 and not passes(count):  # above, a step moves a number by round-off
+            count += multiple
+        while multiple < count < 2**40 and passes(count - multiple):
+            count -= multiple
+        fix = f"raise n_steps to at least {count}"
+    first, value = failed[0]
+    digits = first.digits
+    while not float(f"{value:.{digits}g}") > first.limit:
+        digits += 1
+    raise StabilityError(first.what.format(f"{value:.{digits}g} > 1") + f"; {fix}")
 
 
 class UnsupportedSpec(FracBspdeError):

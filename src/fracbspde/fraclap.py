@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
 
 from .errors import OutOfRange, ResolutionError
@@ -135,6 +134,8 @@ def apply_singular_integral(
     dx = g.dx
     delta = cfg.inner_cutoff * dx
     radius = cfg.resolve_radius(g)
+
+    from scipy.interpolate import CubicSpline  # imported here: only this route needs it
 
     # periodic cubic spline so off-grid z offsets stay interpolation-only
     xs = np.concatenate([g.x, [g.x[0] + g.length]])

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyEnsemble, GridMismatch, InvalidExponent, MalformedInput, OffGridTime
+from .errors import EmptyEnsemble, GridMismatch, InvalidExponent, MalformedInput, OffGridTime, OutOfRange
 
 __all__ = [
     "Grid1D",
@@ -68,6 +68,13 @@ class Grid1D:
     def x(self) -> np.ndarray:
         """Grid nodes x_j = x_min + j dx (x_max excluded, periodic wrap)."""
         return self.x_min + self.dx * np.arange(self.n)
+
+    def nearest_node(self, x: float) -> int:
+        """Index of the node nearest to x in [x_min, x_max]; OutOfRange for any
+        other x, NaN included."""
+        if not self.x_min <= x <= self.x_max:
+            raise OutOfRange(f"x = {x} lies outside [{self.x_min}, {self.x_max}]")
+        return int(np.argmin(np.abs(self.x - x)))
 
     @cached_property
     def xi(self) -> np.ndarray:

@@ -30,12 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bspde import _finite, regress_backward
-from .errors import (
-    BlowUp,
-    BudgetExceeded,
-    PositivityViolation,
-    StabilityError,
-)
+from .errors import BlowUp, BudgetExceeded, PositivityViolation, StepRestriction, check_step_restrictions
 from .fraclap import check_alpha, frac_lap_multiplier
 from .grid import Grid1D, apply_multiplier, derivative_multiplier, time_indices
 from .kernel import CoefficientA, eval_A
@@ -256,24 +251,19 @@ def _k_sup(problem: ControlProblem, t: float, v: float) -> float:
     return 0.0 if np.isnan(sup) else sup
 
 
-def _cfl_number(problem: ControlProblem, k_sup: float, n_steps: int) -> float:
-    return k_sup * (problem.T / n_steps) / problem.grid.dx
+def _cfl(problem: ControlProblem, k_sup: float) -> StepRestriction:
+    """The transport CFL number max |k| dt / dx of a filter run with max |k| = k_sup."""
+    return StepRestriction("transport CFL number {}", lambda n: k_sup * (problem.T / n) / problem.grid.dx)
+
+
+def _policy_cfl(problem: ControlProblem, policy: ControlPolicy, n_steps: int) -> StepRestriction:
+    """The CFL number of a run: max |k(t_i, u(t_i))| at its step times t_i, i < n_steps."""
+    times = np.linspace(0.0, problem.T, n_steps + 1)[:-1]
+    return _cfl(problem, max(_k_sup(problem, t, policy.value_at(t)) for t in times))
 
 
 def _policy_cfl_number(problem: ControlProblem, policy: ControlPolicy, n_steps: int) -> float:
-    """The transport CFL number of a run: max |k(t_i, u(t_i))| at its step times t_i, i < n_steps."""
-    times = np.linspace(0.0, problem.T, n_steps + 1)[:-1]
-    return _cfl_number(
-        problem, max(_k_sup(problem, t, policy.value_at(t)) for t in times), n_steps
-    )
-
-
-def _check_transport_cfl(number: float, n_steps: int) -> None:
-    if number > 1.0:
-        raise StabilityError(
-            f"transport CFL number {number:.3g} > 1; raise n_steps above "
-            f"{int(np.ceil(n_steps * number))}"
-        )
+    return _policy_cfl(problem, policy, n_steps).number(n_steps)
 
 
 def solve_zakai(
@@ -289,7 +279,7 @@ def solve_zakai(
     out_idx = time_indices(times, output_times)
     p_out = np.empty((y_inc.shape[0], out_idx.size, problem.grid.n))
     pos = {int(i): r for r, i in enumerate(out_idx)}
-    _check_transport_cfl(_policy_cfl_number(problem, policy, n_steps), n_steps)
+    check_step_restrictions([_policy_cfl(problem, policy, n_steps)], n_steps)
     steps = _ZakaiSteps(problem, y_inc, n_steps, guard)
     p = steps.p0
     for i in range(n_steps + 1):
@@ -327,29 +317,16 @@ def _policy_costs(
     and the running cost up to the end of interval j; each node of the tree
     steps its interval once from its parent's state.  Every path sees the
     same operations in the same order as a per-policy run, so each cost is
-    bit-identical to one.  A leaf's CFL check runs just before its first
-    step that no earlier leaf took, which keeps the per-policy order of
-    StabilityError and BlowUp.
+    bit-identical to one.  One CFL check, over every (step time, value), comes first.
     """
     m = len(choices)
     times = np.linspace(0.0, problem.T, n_steps + 1)
     owner = ControlPolicy(edges, tuple(range(m)))
     interval = [owner.value_at(t) for t in times[:-1]]  # nondecreasing
     bounds = np.searchsorted(interval, np.arange(m + 1))  # interval j: bounds[j]:bounds[j+1]
-    # max |k| over interval j's step times under its c-th choice, one k
-    # evaluation per (step time, value); a leaf's CFL number is the largest
-    # along its choices, as _policy_cfl_number would compute it
-    k_sup = [
-        [max((_k_sup(problem, t, v) for t in times[bounds[j]:bounds[j + 1]]), default=0.0)
-         for v in choices[j]]
-        for j in range(m)
-    ]
-
-    def check_cfl(picks: tuple[int, ...]) -> None:
-        worst = max(k_sup[j][c] for j, c in enumerate(picks))
-        _check_transport_cfl(_cfl_number(problem, worst, n_steps), n_steps)
-
-    check_cfl((0,) * m)
+    k_sup = max(_k_sup(problem, t, v) for j in range(m) for v in choices[j]
+                for t in times[bounds[j]:bounds[j + 1]])
+    check_step_restrictions([_cfl(problem, k_sup)], n_steps)
     steps = _ZakaiSteps(problem, y_inc, n_steps, guard)
     n_paths = y_inc.shape[0]
     out = []
@@ -364,8 +341,6 @@ def _policy_costs(
             )))
             return
         for c, v in enumerate(choices[j]):
-            if c > 0:  # the first leaf below this child is new
-                check_cfl(picks + (c,) + (0,) * (m - j - 1))
             q, r = p, running.copy()
             for i in range(bounds[j], bounds[j + 1]):
                 r += steps.running_cost(i, q, v)
@@ -397,30 +372,26 @@ _SYMBOL_LIMIT = 1.0 + 1e-12  # round-off slack: the mean mode sits at exactly 1
 
 def _adjoint_symbol(
     problem: ControlProblem, policy: ControlPolicy, n_steps: int
-) -> tuple[float, float]:
+) -> tuple[float, StepRestriction]:
     """The adjoint's forward-Euler symbol on n_steps steps, max over modes of
     |1 - dt a(t_{i+1}) lam + dt K d1| with K = max |k(t_{i+1}, u(t_i))| over the
-    steps the drift reads, and the step count that brings it to 1, from
+    steps the drift reads, and its restriction (K and a held), passing from
     dt <= 2 a lam / (a^2 lam^2 + K^2 xi^2) per mode (inf when K^2 overflows)."""
-    dt = problem.T / n_steps
     times = np.linspace(0.0, problem.T, n_steps + 1)
     lam = frac_lap_multiplier(problem.grid, problem.alpha)
     d1 = derivative_multiplier(problem.grid, 1)
     K = max(_k_sup(problem, t, policy.value_at(s)) for s, t in zip(times[:-1], times[1:]))
     a = np.sort([problem.a.at(t) for t in times[1:]])[[0, -1], None]  # |symbol|^2 convex in a
-    with np.errstate(over="ignore", divide="ignore"):
-        symbol = float(np.abs(1.0 - dt * a * lam + dt * K * d1).max())
-        dt_max = np.min(2 * a * lam[1:] / np.abs(a * lam[1:] - K * d1[1:]) ** 2)  # lam[0] = 0
-        return symbol, float(np.ceil(problem.T / dt_max))
 
+    def symbol(n: int) -> float:
+        dt = problem.T / n
+        with np.errstate(over="ignore"):
+            return float(np.abs(1.0 - dt * a * lam + dt * K * d1).max())
 
-def _check_adjoint_symbol(problem: ControlProblem, policy: ControlPolicy, n_steps: int) -> None:
-    symbol, steps_to_pass = _adjoint_symbol(problem, policy, n_steps)
-    if symbol > _SYMBOL_LIMIT:
-        raise StabilityError(
-            f"explicit adjoint symbol |1 - dt a |xi|^alpha + i dt k xi| = {symbol:.5g} > 1; "
-            f"raise n_steps to at least {steps_to_pass:.0f}"
-        )
+    with np.errstate(over="ignore", divide="ignore"):  # lam[0] = 0
+        steps = problem.T / np.min(2 * a * lam[1:] / np.abs(a * lam[1:] - K * d1[1:]) ** 2)
+    return symbol(n_steps), StepRestriction("explicit adjoint symbol {}", symbol, steps,
+                                            limit=_SYMBOL_LIMIT, digits=5)
 
 
 def check_step_count(
@@ -431,27 +402,17 @@ def check_step_count(
     n_steps (even) and on the refinement probe's n_steps / 2.
 
     StabilityError names the first guard that fails and the least multiple of
-    multiple (even) at which all four pass: the largest of the counts the
-    guards' own formulas give, which are exact when a and k do not depend on t.
+    multiple (even) at which all four pass, their sampled k and a held.
     """
     half = n_steps // 2
-    runs = ((1, n_steps, ""), (2, half, f" in the refinement probe at n_steps / 2 = {half} steps"))
-    guards = []  # (failed, what failed, the n_steps that passes it), CFL numbers first
-    for scale, steps, where in runs:
-        number = _policy_cfl_number(problem, policy, steps)
-        guards.append((number > 1.0, f"transport CFL number {number:.3g} > 1{where}",
-                       scale * np.ceil(steps * number)))
-    for scale, steps, where in runs:
-        symbol, to_pass = _adjoint_symbol(problem, policy, steps)
-        guards.append((symbol > _SYMBOL_LIMIT, f"explicit adjoint symbol {symbol:.5g} > 1{where}",
-                       scale * to_pass))
-    failed = [what for bad, what, _ in guards if bad]
-    if failed:
-        need = np.ceil(max(count for _, _, count in guards) / multiple) * multiple
-        fix = "the n_steps that passes overflows"
-        if np.isfinite(need):
-            fix = f"raise n_steps to at least {need:.0f}"
-        raise StabilityError(f"{failed[0]}; {fix}")
+
+    def probe(r: StepRestriction) -> StepRestriction:  # r read on the caller's n // 2 steps
+        return r._replace(what=r.what + f" in the refinement probe at n_steps / 2 = {half} steps",
+                          number=lambda n: r.number(n // 2), steps=r.steps and 2 * r.steps)
+
+    cfl, cfl_half = (_policy_cfl(problem, policy, s) for s in (n_steps, half))
+    (_, sym), (_, sym_half) = (_adjoint_symbol(problem, policy, s) for s in (n_steps, half))
+    check_step_restrictions([cfl, probe(cfl_half), sym, probe(sym_half)], n_steps, multiple)
 
 
 def solve_adjoint(
@@ -476,16 +437,14 @@ def solve_adjoint(
     step, coarse-only columns first: the steps between two coarse steps share
     those columns' QR, so a 24-step run factors 6 full designs instead of 24.
 
-    The step is forward Euler on L*: its symbol |1 - dt a(t_{i+1}) lam + dt K d1|,
-    K = max |k(t_{i+1}, u(t_i))| over the steps the drift reads, must not exceed 1
-    at any mode, or StabilityError names the n_steps that passes, from
-    dt <= 2 a lam / (a^2 lam^2 + K^2 xi^2) per mode (_adjoint_symbol).  A
-    non-finite q or l is BlowUp.
+    The step is forward Euler on L*: its symbol (_adjoint_symbol) must not
+    exceed 1 at any mode, or StabilityError names the least n_steps that
+    passes.  A non-finite q or l is BlowUp.
     """
     g = problem.grid
     dt = problem.T / n_steps
     times = np.linspace(0.0, problem.T, n_steps + 1)
-    _check_adjoint_symbol(problem, policy, n_steps)
+    check_step_restrictions([_adjoint_symbol(problem, policy, n_steps)[1]], n_steps)
     coarse_steps = np.unique(
         np.round(np.linspace(0, n_steps, min(6, n_steps) + 1)).astype(int)
     )[1:]
@@ -556,9 +515,9 @@ def brute_force_optimal_control(
     first j values share the filter state and the running cost up to the
     end of interval j, so each distinct prefix steps its interval once
     (_policy_costs).  With |U| = 3 and 24 steps, m = 2 takes 144 Zakai steps instead of 216
-    and m = 3 takes 312 instead of 648.  Each leaf's CFL check runs just
-    before its first unshared step.  The table, the optimum, and every
-    StabilityError or BlowUp are bit-identical to calling cost_functional
+    and m = 3 takes 312 instead of 648.  The CFL check fails before any step,
+    as cost_functional on the policy with the largest CFL number.  The table,
+    the optimum, and every BlowUp are bit-identical to calling cost_functional
     on each policy in turn.  Ties break toward the lexicographically
     smallest value tuple.
     """

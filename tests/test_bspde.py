@@ -1,8 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fracbspde import bspde
 from fracbspde.bspde import (
     BSPDEData,
     _PeriodicStencil,
@@ -23,6 +27,7 @@ from fracbspde.errors import (
     BlowUp,
     IllConditioned,
     OffGridTime,
+    OutOfRange,
     StabilityError,
     UnsupportedSpec,
 )
@@ -623,6 +628,70 @@ def test_regression_stability_guard():
         solve_bspde_regression(data, n_paths=50, rng=RngStream(31), n_steps=4)
 
 
+BOX16 = Grid1D(-8.0, 8.0, 16)  # xi_max = pi; mode 1 peaks at a node
+
+
+def named_steps(message: str) -> int:
+    return int(re.fullmatch(r".*; raise n_steps to at least (\d+)", message).group(1))
+
+
+def raises_stability(solve, n_steps):
+    try:
+        solve(n_steps)
+    except StabilityError as exc:
+        return str(exc)
+    return None
+
+
+# frac of the count c at which a number proportional to dt reaches 1: the
+# guards fail on ceil(frac c) steps, save where that count is c itself
+FRAC = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spread_a=st.sampled_from([0.0, 0.3, 0.9]),
+    spread_b=st.sampled_from([0.0, 0.5, 7.0, 60.0]),
+    T=st.sampled_from([0.25, 1.0, 1.9]),
+    frac=FRAC,
+)
+def test_residual_guard_names_the_least_step_count_that_passes(spread_a, spread_b, T, frac):
+    assume(spread_a or spread_b)
+    mode1 = np.sin(2 * np.pi * BOX16.x / BOX16.length)  # spread 1 about its mean 0
+    data = make_data(
+        grid=BOX16, T=T, g=mode1,
+        a_xt=(lambda t: 1.0 + spread_a * mode1) if spread_a else None,
+        b=(lambda t: spread_b * mode1) if spread_b else None,
+    )
+    solve = lambda n: solve_pde_variable_coeff(data, n_steps=n, output_times=[0.0])
+    message = raises_stability(solve, max(1, math.ceil(frac * max(spread_a * np.pi**1.5, spread_b * np.pi) * T)))
+    assume(message is not None)
+    assert message.startswith("explicit residual number ")
+    named = named_steps(message)
+    assert raises_stability(solve, named) is None
+    assert named_steps(raises_stability(solve, named - 1)) == named
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    mode=st.integers(2, 7),  # mode 8, the Nyquist sine, vanishes at the nodes
+    a=st.sampled_from([3.0, 20.0]),
+    T=st.sampled_from([1.0, 1.9]),
+    frac=FRAC,
+)
+def test_diffusion_number_names_the_least_step_count_that_passes(mode, a, T, frac):
+    xi = mode * 2 * np.pi / BOX16.length
+    data = make_data(grid=BOX16, T=T, a=CoefficientA.constant(a), g=np.sin(xi * BOX16.x))
+    solve = lambda n: solve_bspde_regression(data, n_paths=8, rng=RngStream(5), n_steps=n,
+                                             output_times=[0.0])
+    message = raises_stability(solve, max(1, math.ceil(frac * xi**1.5 * a * T)))
+    assume(message is not None)
+    assert message.startswith("explicit diffusion number a|xi|^alpha dt = ")
+    named = named_steps(message)
+    assert raises_stability(solve, named) is None
+    assert named_steps(raises_stability(solve, named - 1)) == named
+
+
 def analytic_single_mode_norms(alpha, beta, T, n_steps, output_stride):
     """Direct norm computation for u(t,x) = e^{-(T-t) xi1^alpha} sin(xi1 x)."""
     times = np.linspace(0.0, T, n_steps + 1)[::output_stride]
@@ -862,6 +931,14 @@ def test_fbsde_crosscheck_is_the_np_interp_crosscheck():
         args = (data, probes, RngStream(11, 800), 3000, 64, 24)
         got = fbsde_crosscheck(*args[:3], n_paths=args[3], n_steps_solver=args[4], n_steps_mc=args[5])
         assert _probe_tuples(got) == _interp_crosscheck(*args)
+
+
+def test_fbsde_crosscheck_rejects_a_probe_outside_the_box(monkeypatch):
+    data = make_data(grid=BOX16, g=np.sin(2 * np.pi * BOX16.x / BOX16.length))
+    monkeypatch.setattr(bspde, "solve_fourier_deterministic", None)  # it raises before any solve
+    for x in (np.nan, 1e300, -40.0):
+        with pytest.raises(OutOfRange):
+            fbsde_crosscheck(data, [(0.0, 0.0), (0.0, x)], RngStream(3), n_paths=10)
 
 
 def test_fbsde_crosscheck_rejects_a_field_non_finite_at_a_particle_time():

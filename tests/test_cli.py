@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracbspde.cli import _flags, _load_config, build_parser, main, run_verification
+from fracbspde.cli import COMMANDS, _flags, _load_config, build_parser, main, run_verification
 from fracbspde.grid import Grid1D, GridFunction, write_field_csv
 
 
@@ -279,6 +279,55 @@ def test_solve_bspde_off_grid_probe_exit_2(tmp_path, capsys):
     # 0.3 lies between the nodes 0.296875 and 0.3125 of the default 64-step grid
     assert _config_error(capsys, argv + ["--probe", "0.3,0"]) == "probe"
     assert main(argv + ["--probe", "0.3"]) == 2  # not a t,x pair
+
+
+@pytest.mark.parametrize("x", [float("nan"), 1e300, -40.0])
+def test_solve_bspde_probe_outside_the_box_exits_2(tmp_path, capsys, x):
+    # each x used to snap to the node -32.0 and exit 0, though -40 is 24.0 on the periodic box
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"paths": 50, "probe": [[0.0, 0.0], [0.0, x]]}))
+    out = tmp_path / "b.csv"
+    assert _config_error(capsys, ["solve-bspde", "--config", str(path), "--output", str(out)]) == "probe"
+    assert not out.exists()
+
+
+def _float_keys():
+    """(subcommand, key path) of every float-typed config key, the grid's included."""
+    for command, _handler, schema, _help in COMMANDS:
+        for key, (kind, _default, _flag) in schema.items():
+            if kind is float:
+                yield command, key
+        if "grid" in schema:
+            yield command, "grid.x_min"
+            yield command, "grid.x_max"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("command, key", list(_float_keys()))
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, monkeypatch, command, key, value):
+    # json reads NaN and Infinity; solve-bspde with sigma or g_c0 NaN exited 1
+    # with "solution is not finite", as if the data overflowed
+    monkeypatch.chdir(tmp_path)
+    section, _, name = key.rpartition(".")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({section: {name: value}} if section else {name: value}))
+    assert _config_error(capsys, [command, "--config", str(path)]) == key
+
+
+def test_solve_pde_names_the_least_step_count_that_passes(tmp_path, capsys):
+    # b = sin(x) on the default grid: the message said "raise n_steps above
+    # 101", though 101 steps pass
+    path, out = tmp_path / "p.json", tmp_path / "s.csv"
+    argv = ["solve-pde", "--config", str(path), "--output", str(out)]
+    for steps, number in ((4, "25.1"), (100, "1.01")):
+        path.write_text(json.dumps({"b": "sin:1", "steps": steps}))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: explicit residual number |b - b_bar| xi_max dt = {number} > 1; "
+            "raise n_steps to at least 101\n"
+        )
+    path.write_text(json.dumps({"b": "sin:1", "steps": 101, "output_times": [0.0, 1.0]}))
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize(

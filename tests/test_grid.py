@@ -10,6 +10,7 @@ from fracbspde.errors import (
     InvalidExponent,
     MalformedInput,
     OffGridTime,
+    OutOfRange,
 )
 from fracbspde.fraclap import frac_lap_multiplier
 from fracbspde.grid import (
@@ -39,6 +40,14 @@ def test_grid_validation():
     g = Grid1D(0.0, 1.0, 8)
     assert g.dx == pytest.approx(0.125)
     assert g.xi[1] == pytest.approx(2 * np.pi)
+
+
+def test_nearest_node_snaps_in_the_box_and_rejects_the_rest():
+    g = Grid1D(-32.0, 32.0, 32)  # nodes -32, -30, ..., 30
+    assert [g.nearest_node(x) for x in (-32.0, 0.9, 1.1, 32.0)] == [0, 16, 17, 31]
+    for x in (np.nan, np.inf, -np.inf, 1e300, -40.0, 32.5):
+        with pytest.raises(OutOfRange):
+            g.nearest_node(x)
 
 
 def test_spectral_derivative_on_sine(grid):

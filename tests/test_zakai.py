@@ -1,10 +1,11 @@
 import itertools
+import math
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracbspde.bspde import BSPDEData, solve_pde_variable_coeff
@@ -469,7 +470,10 @@ def test_brute_force_raises_what_the_per_policy_search_raises(n_intervals, nan_v
     # only later policies fail: one control value turns the transport field
     # NaN after t = 0.15 (a blow-up at a policy-dependent step; the CFL
     # check skips NaN); another breaks the CFL rule from t = 0.15 on and
-    # turns NaN after t = 0.3, so its CFL check must come before its steps
+    # turns NaN after t = 0.3.  The search checks the CFL number of every
+    # (interval, value) pair before any step, so a policy that breaks it
+    # raises the worst policy's StabilityError ahead of any BlowUp; without
+    # one, the search raises the per-policy search's BlowUp
     def k(t, v):
         if v == nan_value and t > 0.15 or v == cfl_value and t > 0.3:
             return np.full(SMALL.n, np.nan)
@@ -479,8 +483,15 @@ def test_brute_force_raises_what_the_per_policy_search_raises(n_intervals, nan_v
     n_steps = 12
     y_inc = np.random.default_rng(7).normal(0.0, 0.2, (3, n_steps))
     cost_functional(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps)
-    with pytest.raises((BlowUp, StabilityError)) as ref:
-        per_policy_search(prob, n_intervals, y_inc, n_steps)
+    policies = [ControlPolicy.uniform(values, prob.T)
+                for values in itertools.product(sorted(prob.U), repeat=n_intervals)]
+    worst = max(policies, key=lambda p: zakai._policy_cfl_number(prob, p, n_steps))
+    if zakai._policy_cfl_number(prob, worst, n_steps) > 1.0:
+        with pytest.raises(StabilityError) as ref:
+            cost_functional(prob, worst, y_inc, n_steps=n_steps)
+    else:
+        with pytest.raises(BlowUp) as ref:
+            per_policy_search(prob, n_intervals, y_inc, n_steps)
     with pytest.raises(ref.type, match=f"^{re.escape(str(ref.value))}$"):
         brute_force_optimal_control(prob, n_intervals, y_inc, n_steps=n_steps)
 
@@ -602,7 +613,8 @@ def spike_problem(T=0.5, n_steps=24):
 def test_transport_cfl_check_reads_every_step_time():
     prob, n_steps = spike_problem(), 24
     y_inc = np.zeros((2, n_steps))
-    match = r"^transport CFL number 12\.5 > 1; raise n_steps above 300$"
+    # 299 steps still run at CFL 1.003 with the spike's max |k|; 300 pass
+    match = r"^transport CFL number 12\.5 > 1; raise n_steps to at least 300$"
     with pytest.raises(StabilityError, match=match):
         solve_zakai(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps)
     with pytest.raises(StabilityError, match=match):
@@ -680,6 +692,94 @@ def test_refinement_probe_adjoint_symbol_names_the_steps_to_pass(monkeypatch):
     assert zakai._adjoint_symbol(prob, policy, 4)[0] > zakai._SYMBOL_LIMIT
 
 
+BOX32 = Grid1D(-32.0, 32.0, 32)
+
+
+def constant_k_problem(K, T):
+    # k(t, v) = v at the one control value K: every guard's coefficients are constant in t
+    prob = make_problem(grid=BOX32, T=T, k=lambda t, v: np.full(BOX32.n, v), U=(K,))
+    return prob, ControlPolicy.constant(K, T)
+
+
+def named_steps(message: str) -> int:
+    return int(re.fullmatch(r".*; raise n_steps to at least (\d+)", message).group(1))
+
+
+def printed_number(message: str) -> float:
+    return float(re.search(r" (\S+) > 1", message).group(1))
+
+
+# steps_k = K T / dx, the real count at which the CFL number is exactly 1;
+# the runs take ceil(frac steps_k) steps, and fail save at steps_k itself
+STEPS_K = st.one_of(st.integers(1, 600).map(float), st.floats(1.0, 600.0))
+FRAC = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps_k=STEPS_K, T=st.sampled_from([0.3, 0.5, 1.7]), frac=FRAC)
+@example(steps_k=275.0, T=0.3, frac=274 / 275)
+@example(steps_k=275.0, T=0.3, frac=1.0)  # CFL 1 + 2e-16: "above 276" named a count one too many
+def test_transport_cfl_names_the_least_step_count_that_passes(steps_k, T, frac):
+    n_steps = max(1, math.ceil(frac * steps_k))
+    prob, policy = constant_k_problem(steps_k * BOX32.dx / T, T)
+    assume(zakai._policy_cfl_number(prob, policy, n_steps) > 1.0)
+    y_inc = np.zeros((1, n_steps))
+    with pytest.raises(StabilityError) as ref:
+        solve_zakai(prob, policy, y_inc, n_steps=n_steps)
+    message = str(ref.value)
+    assert message.startswith("transport CFL number ") and printed_number(message) > 1.0
+    for run in (lambda: cost_functional(prob, policy, y_inc, n_steps=n_steps),
+                lambda: brute_force_optimal_control(prob, 1, y_inc, n_steps=n_steps)):
+        with pytest.raises(StabilityError, match=f"^{re.escape(message)}$"):
+            run()
+    named = named_steps(message)
+    assert zakai._policy_cfl_number(prob, policy, named) <= 1.0
+    assert zakai._policy_cfl_number(prob, policy, named - 1) > 1.0
+
+
+def symbol_steps(K, T):
+    # the count at which the adjoint symbol reaches 1 at a = 1: per mode
+    # dt <= 2 lam / (lam^2 + K^2 xi^2)
+    xi = np.abs(BOX32.xi[1:])
+    return T * float(np.max((xi**3 + K**2 * xi**2) / (2 * xi**1.5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.floats(0.5, 20.0), T=st.sampled_from([0.3, 0.5, 1.7]), frac=FRAC)
+def test_adjoint_symbol_names_the_least_step_count_that_passes(K, T, frac):
+    n_steps = max(1, math.ceil(frac * symbol_steps(K, T)))
+    prob, policy = constant_k_problem(K, T)
+    assume(zakai._adjoint_symbol(prob, policy, n_steps)[0] > zakai._SYMBOL_LIMIT)
+    with pytest.raises(StabilityError) as ref:
+        solve_adjoint(prob, policy, np.zeros((2, n_steps)), n_steps=n_steps)
+    message = str(ref.value)
+    assert message.startswith("explicit adjoint symbol ") and printed_number(message) > 1.0
+    named = named_steps(message)
+    assert zakai._adjoint_symbol(prob, policy, named)[0] <= zakai._SYMBOL_LIMIT
+    assert zakai._adjoint_symbol(prob, policy, named - 1)[0] > zakai._SYMBOL_LIMIT
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.floats(0.5, 20.0), T=st.sampled_from([0.3, 0.5, 1.7]),
+       multiple=st.sampled_from([2, 4, 8, 12]), frac=FRAC)
+def test_step_count_check_names_the_least_multiple_that_passes(K, T, multiple, frac):
+    # the probe at n_steps / 2 needs twice the symbol's count
+    j = max(1, math.ceil(frac * 2 * symbol_steps(K, T) / multiple))
+    prob, policy = constant_k_problem(K, T)
+    try:
+        check_step_count(prob, policy, multiple * j, multiple)
+    except StabilityError as exc:
+        message = str(exc)
+    else:
+        assume(False)
+    assert printed_number(message) > 1.0
+    named = named_steps(message)
+    assert named % multiple == 0
+    check_step_count(prob, policy, named, multiple)
+    with pytest.raises(StabilityError, match=f"; raise n_steps to at least {named}$"):
+        check_step_count(prob, policy, named - multiple, multiple)
+
+
 def test_step_count_check_survives_a_k_whose_square_overflows():
     # K^2 overflows in the adjoint's step count: a clean StabilityError, no
     # OverflowError from int(inf) and no RuntimeWarning
@@ -697,7 +797,7 @@ def test_adjoint_symbol_check_names_the_steps_that_pass():
     prob = make_problem(T=4.0, k=lambda t, v: np.full(GRID.n, v), U=(K,), g=np.exp(-GRID.x**2))
     policy = ControlPolicy.constant(K, prob.T)
     assert zakai._policy_cfl_number(prob, policy, n_steps) <= 1.0
-    match = r"^explicit adjoint symbol .* = 2\.9381 > 1; raise n_steps to at least 319$"
+    match = r"^explicit adjoint symbol 2\.9381 > 1; raise n_steps to at least 319$"
     with pytest.raises(StabilityError, match=match):
         solve_adjoint(prob, policy, np.zeros((2, n_steps)), n_steps=n_steps)
     # per mode dt <= 2 a lam / (a^2 lam^2 + K^2 xi^2): 319 is the least count that passes
