@@ -41,6 +41,7 @@ from .grid import (
     apply_multiplier,
     derivative_multiplier,
     ensemble_process_norms,
+    time_grid_multiple,
     time_indices,
 )
 from .kernel import CoefficientA, eval_A
@@ -408,7 +409,7 @@ def solve_pde_variable_coeff(
                         lambda n: worst_frac * xi_max**data.alpha * (data.T / n)),
         StepRestriction("explicit residual number |b - b_bar| xi_max dt = {}",
                         lambda n: worst_trans * xi_max * (data.T / n)),
-    ], n_steps)
+    ], n_steps, time_grid_multiple(data.T, output_times))
 
     d1 = derivative_multiplier(g, 1)  # the unpaired Nyquist mode carries no transport phase
 
@@ -477,7 +478,7 @@ def _brownian_path(increments: np.ndarray) -> np.ndarray:
 
 def _require_sigma_zero(data: BSPDEData) -> None:
     probes = np.linspace(0.0, data.T, 9)
-    if any(abs(data.sigma_at(t)) > 1e-14 for t in probes):
+    if any(not abs(data.sigma_at(t)) <= 1e-14 for t in probes):  # a NaN sigma is not zero
         raise UnsupportedSpec("this solver requires sigma identically zero")
 
 
@@ -670,12 +671,19 @@ def solve_bspde_regression(
     if mode_indices.size == 0:
         mode_indices = np.array([0])
 
+    # times referenced by the data functionals must be conditioning variables
+    spec_times: set[float] = set()
+    for spec in (data.f, data.g):
+        if isinstance(spec, RandomFieldSpec):
+            spec_times.update(spec.times())
+    on_grid = [*spec_times, *(() if output_times is None else output_times)]
+
     lam = lam_full[mode_indices]
     stiff = float(np.max(lam)) * data.a.upper
     check_step_restrictions([StepRestriction(
         "explicit diffusion number a|xi|^alpha dt = {} for a retained mode",
         lambda n: stiff * (data.T / n),
-    )], n_steps)
+    )], n_steps, time_grid_multiple(data.T, on_grid))
 
     gen = rng.generator()
     w_inc = gen.normal(0.0, np.sqrt(dt), (n_paths, n_steps))
@@ -703,11 +711,6 @@ def solve_bspde_regression(
     coarse_steps = np.unique(
         np.round(np.linspace(0, n_steps, min(8, n_steps) + 1)).astype(int)
     )[1:]
-    # times referenced by the data functionals must be conditioning variables
-    spec_times: set[float] = set()
-    for spec in (data.f, data.g):
-        if isinstance(spec, RandomFieldSpec):
-            spec_times.update(spec.times())
     extra = time_indices(times, sorted(spec_times))
     coarse_steps = np.unique(np.concatenate([coarse_steps, extra]).astype(int))
 

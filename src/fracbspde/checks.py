@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import kolmogi
 
 from .bspde import (
     BSPDEData,
@@ -238,7 +237,8 @@ def check_kernel_bound_stability(seed: int) -> CheckResult:
 
 
 def check_stable_kernel_duality(seed: int) -> CheckResult:
-    from scipy.stats import kstest  # imported here: only this check needs it
+    from scipy.special import kolmogi  # imported here, with kstest: only this check needs them
+    from scipy.stats import kstest
 
     alpha, T, n_paths = 1.5, 1.0, 100_000
     grid_t = PathGrid(0.0, T, 8)

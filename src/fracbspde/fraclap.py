@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import OutOfRange, ResolutionError
 from .grid import Grid1D, GridFunction, apply_multiplier
@@ -49,6 +48,8 @@ def c_alpha(alpha: float) -> float:
     constant to 0); the spectral route must be used there.
     """
     check_alpha(alpha, include_two=False)
+    from scipy.special import gamma as gamma_fn  # imported here: only this constant needs it
+
     val = 2.0**alpha * gamma_fn((1.0 + alpha) / 2.0) / (
         np.sqrt(np.pi) * gamma_fn(-alpha / 2.0)
     )

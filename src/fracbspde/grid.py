@@ -10,17 +10,21 @@ real fields real and the first derivative exactly skew.  The 2/3
 dealiasing rule (|k| <= n/3 kept) applies only to the flux k p of the Zakai
 filter's transport step.  `time_indices` maps times to the nodes of a time
 grid (all of them for None) and raises `OffGridTime` rather than snapping to
-the nearest node.
+the nearest node; `time_grid_multiple` is the least step count whose grid
+holds given times, the multiple a step guard names counts in.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.fft  # numpy 2 loads np.fft on first use; bench/tracer.py patches it at start
 
 from .errors import EmptyEnsemble, GridMismatch, InvalidExponent, MalformedInput, OffGridTime, OutOfRange
 
@@ -31,6 +35,7 @@ __all__ = [
     "apply_multiplier",
     "derivative_multiplier",
     "time_indices",
+    "time_grid_multiple",
     "holder_seminorm",
     "ensemble_process_norms",
     "pair_offsets",
@@ -147,6 +152,23 @@ def time_indices(times: np.ndarray, ts: Sequence[float] | None) -> np.ndarray:
     if off.size:
         raise OffGridTime(f"time {off[0]} is not a node of the time grid {times[0]}..{times[-1]}")
     return np.unique(idx)
+
+
+def time_grid_multiple(T: float, ts: Sequence[float] | None) -> int:
+    """The least n_steps whose time grid of [0, T] holds every time of ts, to
+    time_indices' tolerance: the lcm of the denominators of the ts / T.  Every
+    multiple of it holds them too.  1 for None, and 1 when no count up to 2**16
+    does (time_indices then names the time)."""
+    if ts is None:
+        return 1
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(ts)):
+        return 1
+    limit = 2**16
+    n = math.lcm(1, *(Fraction(t / T).limit_denominator(limit).denominator for t in ts))
+    node = np.clip(np.rint(ts / T * n), 0, n) * (T / n)
+    held = np.abs(node - ts) <= 1e-9 * np.maximum(1.0, np.abs(ts))
+    return n if n <= limit and held.all() else 1
 
 
 def pair_offsets(n: int, exact_limit: int = EXACT_PAIR_LIMIT) -> np.ndarray:

@@ -40,7 +40,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import (
     OrderViolation,
@@ -326,6 +325,8 @@ _TAIL_J = np.arange(1, 4)
 
 def _tail_series(alpha: float, radius) -> np.ndarray:
     """int_radius^inf G dx from the three series terms, elementwise in radius."""
+    from scipy.special import gamma as gamma_fn  # imported here: only the tail series needs it
+
     j = _TAIL_J
     coeffs = (
         (-1.0) ** (j + 1)

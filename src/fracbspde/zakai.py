@@ -32,7 +32,7 @@ import numpy as np
 from .bspde import _finite, regress_backward
 from .errors import BlowUp, BudgetExceeded, PositivityViolation, StepRestriction, check_step_restrictions
 from .fraclap import check_alpha, frac_lap_multiplier
-from .grid import Grid1D, apply_multiplier, derivative_multiplier, time_indices
+from .grid import Grid1D, apply_multiplier, derivative_multiplier, time_grid_multiple, time_indices
 from .kernel import CoefficientA, eval_A
 
 __all__ = [
@@ -279,7 +279,8 @@ def solve_zakai(
     out_idx = time_indices(times, output_times)
     p_out = np.empty((y_inc.shape[0], out_idx.size, problem.grid.n))
     pos = {int(i): r for r, i in enumerate(out_idx)}
-    check_step_restrictions([_policy_cfl(problem, policy, n_steps)], n_steps)
+    check_step_restrictions([_policy_cfl(problem, policy, n_steps)], n_steps,
+                            time_grid_multiple(problem.T, output_times))
     steps = _ZakaiSteps(problem, y_inc, n_steps, guard)
     p = steps.p0
     for i in range(n_steps + 1):
@@ -444,7 +445,8 @@ def solve_adjoint(
     g = problem.grid
     dt = problem.T / n_steps
     times = np.linspace(0.0, problem.T, n_steps + 1)
-    check_step_restrictions([_adjoint_symbol(problem, policy, n_steps)[1]], n_steps)
+    check_step_restrictions([_adjoint_symbol(problem, policy, n_steps)[1]], n_steps,
+                            time_grid_multiple(problem.T, output_times))
     coarse_steps = np.unique(
         np.round(np.linspace(0, n_steps, min(6, n_steps) + 1)).astype(int)
     )[1:]

@@ -347,6 +347,15 @@ def test_linear_gaussian_rejects_bad_spec():
         solve_bspde_linear_gaussian(data2, n_paths=2, rng=RngStream(1))
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), lambda t: float("nan") if t > 0.5 else 0.0])
+def test_linear_gaussian_rejects_a_nan_sigma(sigma):
+    # abs(nan) > 1e-14 is False: a NaN sigma passed as zero, and the solve ran
+    prof = np.ones(GRID.n)
+    data = make_data(g=affine_terminal(prof, 0.0, 1.0, 1.0), sigma=sigma)
+    with pytest.raises(UnsupportedSpec):
+        solve_bspde_linear_gaussian(data, n_paths=2, rng=RngStream(1))
+
+
 def euler_multiplier_bias(a: CoefficientA, lam_k: float, n_steps: int, T: float, i: int):
     """|prod_j (1 - a(t_{j+1}) lam dt) - exp(-lam A_{T,t_i})| for the scheme."""
     times = np.linspace(0.0, T, n_steps + 1)
@@ -690,6 +699,34 @@ def test_diffusion_number_names_the_least_step_count_that_passes(mode, a, T, fra
     named = named_steps(message)
     assert raises_stability(solve, named) is None
     assert named_steps(raises_stability(solve, named - 1)) == named
+
+
+def _guarded_solvers():
+    """(id, n_steps -> solve, the count named, the step multiple of its times) of
+    both guarded solvers, the least count passing the guard off their time grid."""
+    mode1 = np.sin(2 * np.pi * BOX16.x / BOX16.length)
+    pde = make_data(grid=BOX16, g=mode1, b=lambda t: 7.0 * mode1)  # 22 steps pass
+    quarters = [0.0, 0.25, 0.5, 0.75, 1.0]
+    yield "pde-quarters", lambda n: solve_pde_variable_coeff(pde, n, output_times=quarters), 24, 4
+    wave = np.sin(np.pi / 4 * BOX16.x)
+    reg = make_data(grid=BOX16, a=CoefficientA.constant(20.0), g=wave)  # 14 steps pass
+    regression = lambda data, times: lambda n: solve_bspde_regression(
+        data, n_paths=8, rng=RngStream(5), n_steps=n, output_times=times)
+    yield "regression-quarters", regression(reg, quarters), 16, 4
+    third = make_data(grid=BOX16, a=CoefficientA.constant(20.0),
+                      g=RandomFieldSpec(terms=(RandomTerm(wave, PathFunctional.affine_in_w(1 / 3, 0.0, 1.0)),)))
+    yield "regression-w-at-a-third", regression(third, [0.0]), 15, 3
+    yield "regression-both", regression(third, [0.0, 0.25]), 24, 12
+
+
+@pytest.mark.parametrize("solve, named, multiple", [case[1:] for case in _guarded_solvers()],
+                         ids=[case[0] for case in _guarded_solvers()])
+def test_named_step_count_holds_the_output_and_functional_times(solve, named, multiple):
+    # the guard named the least count that passes it (22 or 14), on whose grid
+    # the output times or W's time 1/3 are not nodes: OffGridTime followed
+    assert named_steps(raises_stability(solve, 4)) == named
+    solve(named)
+    assert named_steps(raises_stability(solve, named - multiple)) == named
 
 
 def analytic_single_mode_norms(alpha, beta, T, n_steps, output_stride):

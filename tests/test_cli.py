@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracbspde.cli import COMMANDS, _flags, _load_config, build_parser, main, run_verification
@@ -316,7 +316,8 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, monkeypatch, command
 
 def test_solve_pde_names_the_least_step_count_that_passes(tmp_path, capsys):
     # b = sin(x) on the default grid: the message said "raise n_steps above
-    # 101", though 101 steps pass
+    # 101", though 101 steps pass; then "to at least 101", which the default
+    # output times (the quarters of [0, T]) reject, so it names 104
     path, out = tmp_path / "p.json", tmp_path / "s.csv"
     argv = ["solve-pde", "--config", str(path), "--output", str(out)]
     for steps, number in ((4, "25.1"), (100, "1.01")):
@@ -324,10 +325,47 @@ def test_solve_pde_names_the_least_step_count_that_passes(tmp_path, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err == (
             f"error: explicit residual number |b - b_bar| xi_max dt = {number} > 1; "
-            "raise n_steps to at least 101\n"
+            "raise n_steps to at least 104\n"
         )
+    path.write_text(json.dumps({"b": "sin:1", "steps": 104}))
+    assert main(argv) == 0
+    path.write_text(json.dumps({"b": "sin:1", "steps": 4, "output_times": [0.0, 1.0]}))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith("raise n_steps to at least 101\n")
     path.write_text(json.dumps({"b": "sin:1", "steps": 101, "output_times": [0.0, 1.0]}))
     assert main(argv) == 0
+
+
+# (command, config) whose coefficients break the command's step guard at few steps
+GUARDED_CONFIGS = st.one_of(
+    st.builds(lambda amp, T: ("solve-pde", {"b": f"sin:1:{amp}", "T": T}),
+              st.floats(1.0, 40.0), st.sampled_from([0.3, 1.0])),
+    st.builds(lambda a, T: ("solve-bspde", {"a": f"const:{a}", "g_profile": "sin:8", "T": T, "paths": 8}),
+              st.floats(1.0, 100.0), st.sampled_from([0.3, 1.0])),
+    st.builds(lambda amp: ("zakai", {"k": f"sin:1:{amp}"}), st.floats(1.0, 200.0)),
+    st.builds(lambda c: ("control", {"controls": [-c, c], "paths": 8, "intervals": 1}),
+              st.floats(1.0, 6.0)),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=GUARDED_CONFIGS, j=st.integers(1, 8))
+def test_a_named_step_count_is_one_the_command_accepts(case, j):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+
+        def run(steps):
+            path.write_text(json.dumps({**cfg, "grid": {"n": 32}, "steps": steps}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path), "--output", str(Path(tmp) / "out")])
+            return code, err.getvalue()
+
+        code, err = run(4 * j)  # control takes multiples of 4 intervals
+        assume(code == 1 and "raise n_steps to at least " in err)
+        code, err = run(int(err.rsplit(" ", 1)[1]))
+        assert "raise n_steps" not in err and code != 2, err
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from fracbspde.grid import (
     holder_seminorm,
     pair_offsets,
     read_field_csv,
+    time_grid_multiple,
     time_indices,
     write_field_csv,
 )
@@ -165,6 +166,36 @@ def test_time_indices_on_and_off_grid(T, steps, picks, frac):
     off = (picks[0] % steps + frac) * T / steps
     with pytest.raises(OffGridTime):
         time_indices(times, [times[picks[0]], off])
+
+
+def _holds(T, steps, ts):
+    try:
+        time_indices(np.linspace(0.0, T, steps + 1), ts)
+    except OffGridTime:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    T=st.sampled_from([0.3, 1.0, 1.7, 1e3]),
+    nodes=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 8)), max_size=4),
+    steps=st.integers(1, 100),
+)
+def test_time_grid_multiple_is_the_least_step_count_that_holds_the_times(T, nodes, steps):
+    # the times j / q of [0, T], each on the grid of q steps
+    ts = [T * min(j, q) / q for j, q in nodes]
+    m = time_grid_multiple(T, ts)
+    assert _holds(T, m, ts) and _holds(T, steps * m, ts)
+    assert not any(_holds(T, n, ts) for n in range(1, m))
+    assert _holds(T, steps, ts) == (steps % m == 0)
+
+
+def test_time_grid_multiple_is_1_without_a_common_grid():
+    assert time_grid_multiple(1.0, None) == 1
+    assert time_grid_multiple(1.0, []) == 1
+    for ts in ([0.123456789], [0.5, 1 / 65521], [2.0], [-0.5], [np.nan], [0.0, np.inf]):
+        assert time_grid_multiple(1.0, ts) == 1
 
 
 def test_holder_seminorm_constant_is_zero(grid):

@@ -21,11 +21,49 @@ def test_star_import_finds_every_exported_name(name):
     assert set(exported) <= namespace.keys()
 
 
+SRC = os.path.dirname(os.path.dirname(fracbspde.__file__))
+BENCH = os.path.join(os.path.dirname(SRC), "bench")
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of code run in a new interpreter on this source, writing no bytecode."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True).stdout
+
+
 def test_cli_import_leaves_the_optional_scipy_modules_unloaded():
-    # scipy.interpolate serves one fraclap route and scipy.stats one
-    # acceptance check; each loads inside the function that needs it
-    code = "import sys, fracbspde.cli; print([m for m in ('scipy.interpolate', 'scipy.stats') if m in sys.modules])"
-    src = os.path.dirname(os.path.dirname(fracbspde.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout == "[]\n"
+    # scipy serves three scalar constants, one fraclap route and one
+    # acceptance check; each part loads inside the function that needs it.
+    # numpy 2 loads numpy.fft on first use, so grid imports it
+    loaded = _fresh_python("import sys, fracbspde.cli; print(*sys.modules)").split()
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    layers = ["numpy.fft"] + [f"fracbspde.{m}" for m in ("bspde", "grid", "kernel", "levy", "regression", "zakai")]
+    assert set(layers) <= set(loaded)
+
+
+@pytest.mark.parametrize("call, bits", [
+    ("fracbspde.fraclap.c_alpha(1.5)", ["0x1.32633e6df28bfp-2"]),
+    ("fracbspde.kernel.kernel_tail_mass(1.5, 10.0)", ["0x1.b327b34f61188p-7"]),
+    # the KS statistic and its 1% critical value
+    ("(lambda r: (r.measured, r.tolerance))(fracbspde.checks.check_stable_kernel_duality(7))",
+     ["0x1.3e71e14fa8a00p-9", "0x1.51504b29b3430p-8"]),
+])
+def test_first_call_in_a_fresh_process_keeps_its_bits(call, bits):
+    code = f"import fracbspde.cli, numpy as np; print([float(v).hex() for v in np.atleast_1d({call})])"
+    assert _fresh_python(code) == f"{bits}\n"
+
+
+@pytest.mark.skipif(not os.path.isfile(os.path.join(BENCH, "tracer.py")), reason="no bench/ in this checkout")
+def test_cli_import_loads_every_module_the_bench_tracer_patches():
+    # bench/tracer.py resolves each (module, function) of its TARGETS in
+    # sys.modules when it installs; every module must be loaded by the time
+    # fracbspde.cli is, not as a side effect of the tracer's own imports
+    code = (
+        "import sys, fracbspde.cli; loaded = set(sys.modules);"
+        f"sys.path.insert(0, {BENCH!r}); import tracer;"
+        "print(sorted({m for m, *_ in tracer.TARGETS} - loaded));"
+        "[getattr(sys.modules[m], name) for m, name, *_ in tracer.TARGETS]"
+    )
+    assert _fresh_python(code) == "[]\n"

@@ -759,6 +759,27 @@ def test_adjoint_symbol_names_the_least_step_count_that_passes(K, T, frac):
     assert zakai._adjoint_symbol(prob, policy, named - 1)[0] > zakai._SYMBOL_LIMIT
 
 
+@pytest.mark.parametrize("solver, K, least, named", [
+    (solve_zakai, 21.5 * BOX32.dx, 22, 24),
+    (solve_adjoint, 5.0, 17, 20),
+])
+def test_named_step_count_holds_the_output_times(solver, K, least, named):
+    # the guard named the least count that passes it, on whose grid the
+    # quarters of [0, 1] are not nodes: OffGridTime followed
+    prob, policy = constant_k_problem(K, 1.0)
+
+    def message(n, output_times):
+        with pytest.raises(StabilityError) as exc:
+            solver(prob, policy, np.zeros((2, n)), n_steps=n, output_times=output_times)
+        return str(exc.value)
+
+    quarters = [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert named_steps(message(4, None)) == least
+    assert named_steps(message(4, quarters)) == named
+    assert named_steps(message(named - 4, quarters)) == named
+    solver(prob, policy, np.zeros((2, named)), n_steps=named, output_times=quarters)
+
+
 @settings(max_examples=40, deadline=None)
 @given(K=st.floats(0.5, 20.0), T=st.sampled_from([0.3, 0.5, 1.7]),
        multiple=st.sampled_from([2, 4, 8, 12]), frac=FRAC)
