@@ -54,6 +54,7 @@ __all__ = [
     "RandomFieldSpec",
     "BSPDEData",
     "SolutionField",
+    "AffineSolutionField",
     "RegressionSolution",
     "solve_fourier_deterministic",
     "solve_kernel_deterministic",
@@ -61,6 +62,7 @@ __all__ = [
     "solve_bspde_linear_gaussian",
     "solve_bspde_regression",
     "regress_backward",
+    "check_regression_steps",
     "space_process_norm",
     "HolderRatio",
     "verify_holder_estimate",
@@ -222,6 +224,63 @@ class SolutionField:
             shape = self.u.shape[:-2] + (self.grid.n,)
             return np.zeros(shape)
         return self.v[..., time_indices(self.times, [t])[0], :]
+
+
+class AffineSolutionField(SolutionField):
+    """A pathwise solution affine in W, kept as its factors:
+
+        u(t) = source(t) + sum_i (c0_i + c1_i W_t) prop_i(t),
+
+    with source (times, n) or None, w = W at the output times (paths, times)
+    and terms the (c0_i, c1_i, prop_i), each prop_i (times, n).  u_at
+    assembles one (paths, n) slice; u assembles the (paths, times, n)
+    ensemble on first read and keeps it.  Both add the terms in order onto
+    the source row (or 0.0), so their bits are those of a dense array built
+    term by term.
+    """
+
+    def __init__(self, grid: Grid1D, times: np.ndarray, source: np.ndarray | None,
+                 w: np.ndarray, terms: list[tuple[float, float, np.ndarray]],
+                 v: np.ndarray, meta: dict):
+        self.grid, self.times, self.v, self.meta = grid, times, v, meta
+        self.source, self.w, self.terms = source, w, terms
+        self._u: np.ndarray | None = None
+
+    def _row(self, row: int, out: np.ndarray | None = None) -> np.ndarray:
+        """u at output row into out, a (paths, n) array or view (a new one if None)."""
+        if out is None:
+            out = np.empty((self.w.shape[0], self.grid.n))
+        out[:] = 0.0 if self.source is None else self.source[row]
+        for c0, c1, prop in self.terms:
+            out += (c0 + c1 * self.w[:, row])[:, None] * prop[row]
+        return out
+
+    @property
+    def u(self) -> np.ndarray:
+        if self._u is None:
+            self._u = np.empty((self.w.shape[0], self.times.size, self.grid.n))
+            for row in range(self.times.size):
+                self._row(row, self._u[:, row])
+        return self._u
+
+    def u_at(self, t: float) -> np.ndarray:
+        return self._row(time_indices(self.times, [t])[0])
+
+    def _check_finite(self) -> None:
+        """BlowUp exactly when some entry of u is not finite.  No entry exceeds
+        max|source| + sum_i max|c0_i + c1_i W| max|prop_i| (NaN or inf when a
+        factor is not finite), so the rows are read only when that bound is
+        not safely below overflow."""
+        def peak(arr) -> float:  # a Python float: the bound's own overflow is silent
+            return float(np.max(np.abs(arr), initial=0.0))
+
+        bound = 0.0 if self.source is None else peak(self.source)
+        for c0, c1, prop in self.terms:
+            bound += peak(c0 + c1 * self.w) * peak(prop)
+        if not bound <= 1e300:
+            buf = np.empty((self.w.shape[0], self.grid.n))
+            for row in range(self.times.size):
+                _finite(self._row(row, buf))
 
 
 # --- shared time machinery ------------------------------------------------------
@@ -497,8 +556,10 @@ def solve_bspde_linear_gaussian(
         u(t, x) = (R_t^T p(t))(x) + int_t^T (R_t^s f(s))(x) ds,
         v(t, x) = (R_t^T q)(x)  (path-independent).
 
-    Returns the solution and W at its output times, shape (paths, times):
-    the paths that solve_bspde_regression draws from the same RngStream.
+    Returns the solution, kept as its factors (AffineSolutionField: no
+    (paths, times, n) array until u is read), and W at its output times,
+    shape (paths, times): the paths that solve_bspde_regression draws from
+    the same RngStream.  BlowUp when some entry of u or v is not finite.
     """
     _require_sigma_zero(data)
     if not isinstance(data.g, RandomFieldSpec):
@@ -515,27 +576,29 @@ def solve_bspde_linear_gaussian(
         return solve_fourier_deterministic(part, n_steps=n_steps, output_times=times[out_idx]).u
 
     w_inc = rng.generator().normal(0.0, np.sqrt(dt), (n_paths, n_steps))
-    w_cum = _brownian_path(w_inc)
+    w = _brownian_path(w_inc)[:, out_idx]
+    w.flags.writeable = False  # shared by the caller and the solution's factors
 
     # the deterministic source part, then R_t^T of each terminal profile
-    u = np.zeros((n_paths, out_idx.size, g.n))
-    if f is not None:
-        u[:] = fourier_part(np.zeros(g.n), f)
+    source = fourier_part(np.zeros(g.n), f) if f is not None else None
+    factors = []
     v = np.zeros((out_idx.size, g.n))
     for profile, c0, c1 in terms:
         prof_prop = fourier_part(profile, None)
-        for row, i in enumerate(out_idx):  # row by row: no second (paths, times, n) array
-            u[:, row] += (c0 + c1 * w_cum[:, i])[:, None] * prof_prop[row]
+        factors.append((c0, c1, prof_prop))
         v += c1 * prof_prop
 
-    sol = SolutionField(
+    sol = AffineSolutionField(
         grid=g,
         times=times[out_idx],
-        u=_finite(u),
+        source=source,
+        w=w,
+        terms=factors,
         v=_finite(v),
         meta={"solver": "linear_gaussian", "n_steps": n_steps, "n_paths": n_paths},
     )
-    return sol, w_cum[:, out_idx]
+    sol._check_finite()
+    return sol, w
 
 
 @dataclass
@@ -644,6 +707,36 @@ def regress_backward(
     return Y_out, Z_out, se_out, max_cond
 
 
+def _functional_times(data: BSPDEData) -> list[float]:
+    """The times at which the data functionals read W: the regression solver's
+    conditioning variables, so they must be nodes of its time grid."""
+    spec_times: set[float] = set()
+    for spec in (data.f, data.g):
+        if isinstance(spec, RandomFieldSpec):
+            spec_times.update(spec.times())
+    return sorted(spec_times)
+
+
+def check_regression_steps(data: BSPDEData, n_steps: int,
+                           output_times: Sequence[float] | None) -> np.ndarray:
+    """The Fourier modes solve_bspde_regression retains on n_steps (those the
+    data reach), once its explicit diffusion number over them passes.  Else
+    StabilityError names the least count that passes and whose grid holds
+    output_times and the times the data functionals read W at."""
+    times = np.linspace(0.0, data.T, n_steps + 1)
+    mass = np.maximum(_mode_mass(data.g, data.grid, times), _mode_mass(data.f, data.grid, times))
+    mode_indices = np.nonzero(mass > 1e-12 * max(float(mass.max()), 1e-300))[0]
+    if mode_indices.size == 0:
+        mode_indices = np.array([0])
+    stiff = float(np.max(frac_lap_multiplier(data.grid, data.alpha)[mode_indices])) * data.a.upper
+    on_grid = [*_functional_times(data), *(() if output_times is None else output_times)]
+    check_step_restrictions([StepRestriction(
+        "explicit diffusion number a|xi|^alpha dt = {} for a retained mode",
+        lambda n: stiff * (data.T / n),
+    )], n_steps, time_grid_multiple(data.T, on_grid))
+    return mode_indices
+
+
 def solve_bspde_regression(
     data: BSPDEData,
     n_paths: int,
@@ -664,26 +757,8 @@ def solve_bspde_regression(
     g = data.grid
     times = np.linspace(0.0, data.T, n_steps + 1)
     dt = data.T / n_steps
-    lam_full = frac_lap_multiplier(g, data.alpha)
-
-    mass = np.maximum(_mode_mass(data.g, g, times), _mode_mass(data.f, g, times))
-    mode_indices = np.nonzero(mass > 1e-12 * max(float(mass.max()), 1e-300))[0]
-    if mode_indices.size == 0:
-        mode_indices = np.array([0])
-
-    # times referenced by the data functionals must be conditioning variables
-    spec_times: set[float] = set()
-    for spec in (data.f, data.g):
-        if isinstance(spec, RandomFieldSpec):
-            spec_times.update(spec.times())
-    on_grid = [*spec_times, *(() if output_times is None else output_times)]
-
-    lam = lam_full[mode_indices]
-    stiff = float(np.max(lam)) * data.a.upper
-    check_step_restrictions([StepRestriction(
-        "explicit diffusion number a|xi|^alpha dt = {} for a retained mode",
-        lambda n: stiff * (data.T / n),
-    )], n_steps, time_grid_multiple(data.T, on_grid))
+    mode_indices = check_regression_steps(data, n_steps, output_times)
+    lam = frac_lap_multiplier(g, data.alpha)[mode_indices]
 
     gen = rng.generator()
     w_inc = gen.normal(0.0, np.sqrt(dt), (n_paths, n_steps))
@@ -711,7 +786,7 @@ def solve_bspde_regression(
     coarse_steps = np.unique(
         np.round(np.linspace(0, n_steps, min(8, n_steps) + 1)).astype(int)
     )[1:]
-    extra = time_indices(times, sorted(spec_times))
+    extra = time_indices(times, _functional_times(data))
     coarse_steps = np.unique(np.concatenate([coarse_steps, extra]).astype(int))
 
     def drift(i: int, u: np.ndarray) -> np.ndarray:

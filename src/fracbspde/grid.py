@@ -139,16 +139,18 @@ def derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
 def time_indices(times: np.ndarray, ts: Sequence[float] | None) -> np.ndarray:
     """Sorted distinct indices of the nodes of the time grid times at ts.
 
-    ts = None selects every node.  A time t matches a node within
-    1e-9 max(1, |t|); any other time raises OffGridTime instead of snapping
-    to the nearest node.
+    ts = None selects every node.  A finite time t matches a node within
+    1e-9 max(1, |t|); any other time, a non-finite one included, raises
+    OffGridTime instead of snapping to the nearest node.
     """
     times = np.asarray(times, dtype=float)
     if ts is None:
         return np.arange(times.size)
     ts = np.asarray(ts, dtype=float).reshape(-1)
     idx = np.argmin(np.abs(times[:, None] - ts[None, :]), axis=0)
-    off = ts[~(np.abs(times[idx] - ts) <= 1e-9 * np.maximum(1.0, np.abs(ts)))]
+    # an infinite tolerance would match +-inf to a node
+    held = np.isfinite(ts) & (np.abs(times[idx] - ts) <= 1e-9 * np.maximum(1.0, np.abs(ts)))
+    off = ts[~held]
     if off.size:
         raise OffGridTime(f"time {off[0]} is not a node of the time grid {times[0]}..{times[-1]}")
     return np.unique(idx)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,115 @@ def test_linear_gaussian_rejects_a_nan_sigma(sigma):
     data = make_data(g=affine_terminal(prof, 0.0, 1.0, 1.0), sigma=sigma)
     with pytest.raises(UnsupportedSpec):
         solve_bspde_linear_gaussian(data, n_paths=2, rng=RngStream(1))
+
+
+def dense_closed_form(data, n_steps, out_times, w):
+    """u and v of the closed form as dense arrays, u (paths, times, n) built term by
+    term into one array: the reference for the factored solution."""
+    def part(terminal, f):
+        det = make_data(grid=data.grid, alpha=data.alpha, T=data.T, a=data.a, g=terminal, f=f)
+        return solve_fourier_deterministic(det, n_steps=n_steps, output_times=out_times).u
+
+    u = np.zeros((w.shape[0], len(out_times), data.grid.n))
+    if data.f is not None:
+        u[:] = part(np.zeros(data.grid.n), data.f)
+    v = np.zeros((len(out_times), data.grid.n))
+    for profile, c0, c1 in data.g.affine_terms(data.T):
+        prop = part(profile, None)
+        for row in range(len(out_times)):
+            u[:, row] += (c0 + c1 * w[:, row])[:, None] * prop[row]
+        v += c1 * prop
+    return u, v
+
+
+SMALL = Grid1D(-8.0, 8.0, 32)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    coeffs=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)), min_size=1, max_size=3),
+    with_f=st.booleans(),
+    picks=st.lists(st.integers(0, 16), min_size=1, max_size=5),
+    paths=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_factored_closed_form_is_the_dense_one_bit_for_bit(coeffs, with_f, picks, paths, seed):
+    rng = np.random.default_rng(seed)
+    spec = RandomFieldSpec(terms=tuple(
+        RandomTerm(random_smooth(SMALL, rng, modes=3), PathFunctional.affine_in_w(1.0, c0, c1))
+        for c0, c1 in coeffs
+    ))
+    src = random_smooth(SMALL, rng, modes=3)
+    f = (lambda t: src * (1.0 + t)) if with_f else None
+    data = make_data(grid=SMALL, g=spec, f=f)
+    out_times = np.linspace(0.0, 1.0, 17)[sorted(set(picks))]
+    sol, w = solve_bspde_linear_gaussian(
+        data, n_paths=paths, rng=RngStream(seed), n_steps=16, output_times=out_times
+    )
+    u_ref, v_ref = dense_closed_form(data, 16, out_times, w)
+    for row, t in enumerate(sol.times):
+        assert sol.u_at(t).tobytes() == u_ref[:, row].tobytes()
+    assert sol.u.tobytes() == u_ref.tobytes()
+    assert sol.v.tobytes() == v_ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [(2.0, 1e308)],  # the product overflows
+        [(1.0, 1e308), (1.0, 1e308)],  # each product is finite, their sum is not
+        [(1.0, float("nan"))],
+    ],
+)
+def test_closed_form_raises_when_an_entry_of_u_is_not_finite(terms):
+    spec = RandomFieldSpec(terms=tuple(
+        RandomTerm(np.full(SMALL.n, amp), PathFunctional.affine_in_w(1.0, c0, 0.0)) for amp, c0 in terms
+    ))
+    data = make_data(grid=SMALL, g=spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, w = solve_bspde_linear_gaussian(  # sin terminal data: the same paths, finite
+            make_data(grid=SMALL, g=affine_terminal(np.sin(SMALL.x), 0.0, 1.0, 1.0)),
+            n_paths=4, rng=RngStream(2), n_steps=8,
+        )
+        u_ref, _ = dense_closed_form(data, 8, np.linspace(0.0, 1.0, 9), w)
+        assert not np.all(np.isfinite(u_ref))
+        with pytest.raises(BlowUp, match="not finite"):
+            solve_bspde_linear_gaussian(data, n_paths=4, rng=RngStream(2), n_steps=8)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [(1.0, 1e301)],  # the bound reads 1e301: the rows are read, and pass
+        [(1.0, 1e308), (1.0, -1e308)],  # the bound overflows; the terms cancel
+    ],
+)
+def test_closed_form_with_finite_entries_does_not_raise(terms):
+    spec = RandomFieldSpec(terms=tuple(
+        RandomTerm(np.full(SMALL.n, amp), PathFunctional.affine_in_w(1.0, c0, 0.0)) for amp, c0 in terms
+    ))
+    data = make_data(grid=SMALL, g=spec)
+    sol, w = solve_bspde_linear_gaussian(data, n_paths=4, rng=RngStream(2), n_steps=8)
+    u_ref, _ = dense_closed_form(data, 8, sol.times, w)
+    assert np.all(np.isfinite(u_ref))
+    assert sol.u.tobytes() == u_ref.tobytes()
+
+
+def test_closed_form_holds_no_dense_ensemble():
+    # one (paths, times, n) array at 3600 paths, 5 output times and n = 256 is
+    # 35 MiB; the factors and W's path are a few MiB
+    data = make_data(g=affine_terminal(np.sin(XI1 * GRID.x), 0.3, 1.0, 1.0))
+    out_times = [0.0, 0.25, 0.5, 0.75, 1.0]
+    solve_bspde_linear_gaussian(data, n_paths=8, rng=RngStream(1), n_steps=64, output_times=out_times)
+    tracemalloc.start()
+    try:
+        solve_bspde_linear_gaussian(
+            data, n_paths=3600, rng=RngStream(1), n_steps=64, output_times=out_times
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def euler_multiplier_bias(a: CoefficientA, lam_k: float, n_steps: int, T: float, i: int):

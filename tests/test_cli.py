@@ -336,6 +336,38 @@ def test_solve_pde_names_the_least_step_count_that_passes(tmp_path, capsys):
     assert main(argv) == 0
 
 
+def test_solve_bspde_names_one_step_count_whatever_count_was_tried(tmp_path, capsys):
+    # the quarter output times follow the tried grid: the count named was 44, 42
+    # and 50 at 4, 6 and 10 steps, though every count from 42 runs
+    path, out = tmp_path / "b.json", tmp_path / "b.csv"
+    cfg = {"a": "const:60", "g_profile": "sin:8", "paths": 8, "grid": {"n": 32}}
+    for probe, tried, named in (([0.0, 0.0], (4, 6, 10), 42), ([0.25, 0.0], (4, 8, 12), 44)):
+        for steps in (*tried, named):
+            path.write_text(json.dumps({**cfg, "probe": [probe], "steps": steps}))
+            code = main(["solve-bspde", "--config", str(path), "--output", str(out)])
+            err = capsys.readouterr().err
+            if steps == named:
+                assert code == 0, err
+            else:
+                assert code == 1 and err.endswith(f"raise n_steps to at least {named}\n"), err
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("solve-pde", {"output_times": [0.0, float("inf")]}, "output_times"),
+        ("solve-pde", {"output_times": [float("-inf")]}, "output_times"),
+        ("solve-bspde", {"paths": 8, "probe": [[float("inf"), 0.0]]}, "probe"),
+    ],
+)
+def test_an_infinite_time_exits_2(tmp_path, capsys, command, cfg, key):
+    # inf matched the time node 0: solve-pde wrote only the t = 0 rows and exited 0
+    path, out = tmp_path / "c.json", tmp_path / "out.csv"
+    path.write_text(json.dumps({**cfg, "steps": 16}))
+    assert _config_error(capsys, [command, "--config", str(path), "--output", str(out)]) == key
+    assert not out.exists()
+
+
 # (command, config) whose coefficients break the command's step guard at few steps
 GUARDED_CONFIGS = st.one_of(
     st.builds(lambda amp, T: ("solve-pde", {"b": f"sin:1:{amp}", "T": T}),

@@ -168,6 +168,13 @@ def test_time_indices_on_and_off_grid(T, steps, picks, frac):
         time_indices(times, [times[picks[0]], off])
 
 
+@pytest.mark.parametrize("ts", [[0.0, np.inf], [-np.inf], [np.nan]])
+def test_time_indices_rejects_a_non_finite_time(ts):
+    # |t_0 - inf| <= 1e-9 * max(1, inf) read inf <= inf, so +-inf matched node 0
+    with pytest.raises(OffGridTime):
+        time_indices(np.linspace(0.0, 1.0, 5), ts)
+
+
 def _holds(T, steps, ts):
     try:
         time_indices(np.linspace(0.0, T, steps + 1), ts)
