@@ -213,7 +213,7 @@ def check_operator_cross_validation(seed: int) -> CheckResult:
 
 
 def check_kernel_bound_stability(seed: int) -> CheckResult:
-    checks = verify_kernel_bounds(1.5, beta=0.6, base_n=2001)
+    checks = verify_kernel_bounds(1.5, base_n=2001)
     wanted = {
         "pointwise-decay-k0",
         "pointwise-decay-k1",
@@ -241,7 +241,7 @@ def check_stable_kernel_duality(seed: int) -> CheckResult:
     from scipy.stats import kstest
 
     alpha, T, n_paths = 1.5, 1.0, 100_000
-    grid_t = PathGrid(0.0, T, 8)
+    grid_t = PathGrid(T, 8)
     X = simulate_forward_sde(None, 1.0, alpha, 0.0, grid_t, RngStream(seed, 600), n_paths)
     stat = float(kstest(X[:, -1], kernel_cdf(alpha, A=T)).statistic)
     crit = float(kolmogi(0.01) / np.sqrt(n_paths))
@@ -490,7 +490,7 @@ def check_zakai_closed_form(seed: int) -> CheckResult:
     h0, T, n_steps = 0.8, 0.5, 32
     prob = _control_problem(grid, T, h=lambda t: np.full(grid.n, h0))
     p0 = prob.p0
-    y_inc = simulate_brownian_increments(PathGrid(0.0, T, n_steps), RngStream(seed, 1100), 8)
+    y_inc = simulate_brownian_increments(PathGrid(T, n_steps), RngStream(seed, 1100), 8)
     state = solve_zakai(prob, ControlPolicy.constant(0.0, T), y_inc, n_steps=n_steps)
     worst = 0.0
     base_hat = np.fft.fft(p0)
@@ -538,7 +538,7 @@ def check_adjoint_duality(seed: int) -> CheckResult:
     defect = duality_defect(phi, psi, 0.1, 0.0, prob) / scale
 
     n_steps = 256
-    y_inc = simulate_brownian_increments(PathGrid(0.0, T, n_steps), RngStream(seed, 1200), 64)
+    y_inc = simulate_brownian_increments(PathGrid(T, n_steps), RngStream(seed, 1200), 64)
     adj = solve_adjoint(prob, ControlPolicy.constant(0.0, T), y_inc, n_steps=n_steps)
     data = BSPDEData(
         grid=grid,
@@ -578,7 +578,7 @@ def check_maximum_principle(seed: int) -> CheckResult:
     )
     n_steps = 24
     y_inc = simulate_brownian_increments(
-        PathGrid(0.0, T, n_steps), RngStream(seed, 1300), n_paths
+        PathGrid(T, n_steps), RngStream(seed, 1300), n_paths
     )
     best = brute_force_optimal_control(prob, n_intervals=3, y_inc=y_inc, n_steps=n_steps)
     rep = verify_maximum_principle(prob, best.policy, y_inc, n_steps=n_steps)

@@ -276,7 +276,7 @@ LEVY_SCHEMA = {
 
 
 def cmd_levy(cfg: dict) -> int:
-    grid_t = PathGrid(0.0, cfg["horizon"], cfg["steps"])
+    grid_t = PathGrid(cfg["horizon"], cfg["steps"])
     gen = RngStream(cfg["seed"]).generator()
     inc = sample_stable(cfg["alpha"], grid_t.dt, gen, (cfg["paths"], cfg["steps"]))
     values = np.concatenate(
@@ -515,7 +515,7 @@ def cmd_zakai(cfg: dict) -> int:
     except PositivityViolation as exc:
         raise ConfigError(str(exc), "mu") from exc
     y_inc = simulate_brownian_increments(
-        PathGrid(0.0, cfg["T"], cfg["steps"]), RngStream(cfg["seed"]), 1
+        PathGrid(cfg["T"], cfg["steps"]), RngStream(cfg["seed"]), 1
     )
     state = solve_zakai(prob, ControlPolicy.constant(0.0, cfg["T"]), y_inc, n_steps=cfg["steps"])
     rows = []
@@ -582,7 +582,7 @@ def cmd_control(cfg: dict) -> int:
     worst = ControlPolicy.constant(max(prob.U, key=abs), cfg["T"])
     check_step_count(prob, worst, cfg["steps"], multiple=4 * m)
     y_inc = simulate_brownian_increments(
-        PathGrid(0.0, cfg["T"], cfg["steps"]), RngStream(cfg["seed"]), cfg["paths"]
+        PathGrid(cfg["T"], cfg["steps"]), RngStream(cfg["seed"]), cfg["paths"]
     )
     best = brute_force_optimal_control(
         prob, n_intervals=cfg["intervals"], y_inc=y_inc, n_steps=cfg["steps"]
@@ -681,9 +681,11 @@ def run_verification(
     if ids is not None:
         tier_label = "custom"
         known = set(check_ids("full"))
-        for cid in ids:
+        for i, cid in enumerate(ids):
             if cid not in known:
                 raise ConfigError(f"unknown check id {cid!r}", "checks")
+            if cid in ids[:i]:
+                raise ConfigError(f"check id {cid!r} is repeated", "checks")
     else:
         tier_label = tier
     results, timings = run_checks(seed=seed, tier=tier, ids=ids)

@@ -75,18 +75,15 @@ class SingularIntegralConfig:
     """Quadrature parameters for the singular-integral discretization.
 
     inner_cutoff is measured in units of dx (must be >= 1: the integrand is
-    replaced by its Taylor expansion below that scale).  outer_radius is the
-    truncation of the direct quadrature, capped at half the periodic box;
-    beyond it the periodic images of f are followed out to image_span box
-    lengths before the closed-form power-law tail (f frozen at its mean)
-    takes over.  quadrature_points controls the log-spaced trapezoid rule on
-    each of the two ranges.
+    replaced by its Taylor expansion below that scale).  The direct
+    quadrature runs out to half the periodic box; beyond it the periodic
+    images of f are followed out to 16 box lengths before the closed-form
+    power-law tail (f frozen at its mean) takes over.  quadrature_points
+    controls the log-spaced trapezoid rule on each of the two ranges.
     """
 
     inner_cutoff: float = 2.0
-    outer_radius: float | None = None  # None -> half the box
     quadrature_points: int = 64
-    image_span: float = 16.0
 
     def __post_init__(self):
         if not self.inner_cutoff >= 1.0:
@@ -95,16 +92,6 @@ class SingularIntegralConfig:
             )
         if self.quadrature_points < 8:
             raise ResolutionError("quadrature_points must be >= 8")
-        if self.image_span < 1.0:
-            raise ResolutionError("image_span must be >= 1 box length")
-
-    def resolve_radius(self, grid: Grid1D) -> float:
-        r = 0.5 * grid.length if self.outer_radius is None else float(self.outer_radius)
-        if not 0.0 < r <= 0.5 * grid.length + 1e-12:
-            raise ResolutionError(
-                f"outer_radius {r} must lie in (0, L/2] = (0, {0.5 * grid.length}]"
-            )
-        return r
 
 
 def _log_trapezoid(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +121,8 @@ def apply_singular_integral(
     g = f.grid
     dx = g.dx
     delta = cfg.inner_cutoff * dx
-    radius = cfg.resolve_radius(g)
+    radius = 0.5 * g.length
+    far = 16.0 * g.length  # the images' reach, where the tail takes over
 
     from scipy.interpolate import CubicSpline  # imported here: only this route needs it
 
@@ -147,7 +135,7 @@ def apply_singular_integral(
         return spline(np.mod(points - g.x_min, g.length) + g.x_min)
 
     z1, w1 = _log_trapezoid(delta, radius, cfg.quadrature_points)
-    z2, w2 = _log_trapezoid(radius, cfg.image_span * g.length, cfg.quadrature_points)
+    z2, w2 = _log_trapezoid(radius, far, cfg.quadrature_points)
     z = np.concatenate([z1, z2])
     w = np.concatenate([w1, w2]) / z ** (1.0 + alpha)
 
@@ -168,7 +156,6 @@ def apply_singular_integral(
     inner += f4 / 12.0 * delta ** (4.0 - alpha) / (4.0 - alpha)
 
     # power-law tail with f frozen at its mean
-    far = cfg.image_span * g.length
     tail = 2.0 * (v.mean() - v) * far ** (-alpha) / alpha
 
     return GridFunction(g, -c_alpha(alpha) * (acc + inner + tail))

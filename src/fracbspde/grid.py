@@ -380,11 +380,13 @@ def read_field_csv(path: str, grid: Grid1D | None = None) -> GridFunction:
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["x", "value"]:
+    if not rows or rows[0] != ["x", "value"]:
         raise MalformedInput(f"{path}: expected the header x,value, got {rows[:1]!r}")
+    if any(len(r) != 2 for r in rows[1:]):
+        raise MalformedInput(f"{path}: every row must hold two numbers")
     try:
-        data = np.array([[float(r[0]), float(r[1])] for r in rows[1:]]).reshape(-1, 2)
-    except (ValueError, IndexError) as exc:
+        data = np.array([[float(x), float(v)] for x, v in rows[1:]]).reshape(-1, 2)
+    except ValueError as exc:
         raise MalformedInput(f"{path}: every row must hold two numbers ({exc})") from exc
     if not np.all(np.isfinite(data)):
         raise MalformedInput(f"{path}: non-finite entries")

@@ -228,11 +228,9 @@ class CoefficientA:
         return cls(lambda t: np.full_like(np.asarray(t, dtype=float), c), c, c)
 
     @classmethod
-    def from_callable(
-        cls, func: Callable, t_max: float, samples: int = 2049
-    ) -> "CoefficientA":
-        """Infer bounds by sampling on [0, t_max]."""
-        ts = np.linspace(0.0, t_max, samples)
+    def from_callable(cls, func: Callable, t_max: float) -> "CoefficientA":
+        """Infer bounds by sampling on 2049 equispaced points of [0, t_max]."""
+        ts = np.linspace(0.0, t_max, 2049)
         vals = np.asarray(func(ts), dtype=float)
         lo, hi = float(vals.min()), float(vals.max())
         if lo <= 0:
@@ -409,11 +407,7 @@ def _base_and_refined(xs: np.ndarray, vals: np.ndarray, integral: bool) -> tuple
     return fit(2), fit(1)
 
 
-def verify_kernel_bounds(
-    alpha: float,
-    beta: float = 0.6,
-    base_n: int = 2001,
-) -> list[BoundCheck]:
+def verify_kernel_bounds(alpha: float, base_n: int = 2001) -> list[BoundCheck]:
     """Empirical constants for the kernel decay and weighted-integral estimates.
 
     The constants in the underlying inequalities are existential, so the
@@ -423,8 +417,10 @@ def verify_kernel_bounds(
     Each integrand is evaluated once, on the refined grid of 2 base_n - 1
     nodes; the base grid of base_n nodes is every other one of those nodes
     (``np.linspace(lo, hi, 2n - 1)[::2]`` is ``np.linspace(lo, hi, n)``).
+    The weighted integrals take the Holder exponent beta = 0.6.
     """
     check_alpha(alpha)
+    beta = 0.6
     n = 2 * base_n - 1
     taus = np.geomspace(1e-3, 1.0, 9)
     checks: list[BoundCheck] = []

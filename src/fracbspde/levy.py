@@ -52,23 +52,23 @@ class RngStream:
 
 @dataclass(frozen=True)
 class PathGrid:
-    """Uniform time grid t0 = t_0 < ... < t_N = T."""
+    """Uniform time grid 0 = t_0 < ... < t_N = T."""
 
-    t0: float
     T: float
     N: int
 
     def __post_init__(self):
-        if self.N < 1 or self.T <= self.t0:
-            raise ValueError(f"need N >= 1 and T > t0, got N={self.N}, [{self.t0},{self.T}]")
+        if self.N < 1 or self.T <= 0.0:
+            raise ValueError(f"need N >= 1 and T > 0, got N={self.N}, T={self.T}")
 
     @property
     def dt(self) -> float:
-        return (self.T - self.t0) / self.N
+        return self.T / self.N
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.N + 1)
+        """The nodes as every solver's time grid has them: the last one is T."""
+        return np.linspace(0.0, self.T, self.N + 1)
 
 
 def sample_stable(alpha: float, dt: float, rng: np.random.Generator, size=None):

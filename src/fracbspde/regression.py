@@ -10,6 +10,9 @@ from .errors import IllConditioned
 
 __all__ = ["CoarseQR", "design_matrix", "factor_coarse_block", "project_expectation"]
 
+# the largest design condition number a projection accepts (IllConditioned above it)
+COND_LIMIT = 1e8
+
 
 def _coarse_width(k: int) -> int:
     """Columns in the coarse values alone: 1, k values, k (k + 1) / 2 products."""
@@ -77,7 +80,6 @@ def factor_coarse_block(design: np.ndarray, step: int, coarse_steps: np.ndarray)
 def project_expectation(
     design: np.ndarray,
     targets: np.ndarray,
-    cond_threshold: float = 1e8,
     se_cols: int | None = None,
     leading: CoarseQR | None = None,
 ):
@@ -91,7 +93,8 @@ def project_expectation(
     run twice (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005), and
     then factored.  Without it, or with no more paths than columns, the whole
     design is factored.  The condition number is that of the assembled R, and
-    the fit Q (Q^T targets) is taken in real arithmetic.
+    the fit Q (Q^T targets) is taken in real arithmetic.  A condition number
+    above COND_LIMIT raises IllConditioned.
     """
     n_paths, width = design.shape
     if leading is None or n_paths <= width:
@@ -106,7 +109,7 @@ def project_expectation(
     r = np.block([[leading.r, coef + again], [lower_left, r_rest]])
     sv = np.linalg.svd(r, compute_uv=False)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-    if cond > cond_threshold:
+    if cond > COND_LIMIT:
         raise IllConditioned(
             f"normal-matrix condition ~{cond**2:.2e} exceeds threshold; "
             "raise the path count or lower the basis degree"

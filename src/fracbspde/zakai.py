@@ -198,7 +198,7 @@ class _ZakaiSteps:
     diffusion multiplier and the observation field of each step) computed
     once."""
 
-    def __init__(self, problem: ControlProblem, y_inc: np.ndarray, n_steps: int, guard: float):
+    def __init__(self, problem: ControlProblem, y_inc: np.ndarray, n_steps: int):
         n_paths = y_inc.shape[0]
         if y_inc.shape != (n_paths, n_steps):
             raise ValueError(f"observation increments shape {y_inc.shape} != (paths, {n_steps})")
@@ -217,7 +217,8 @@ class _ZakaiSteps:
         self.h = [np.asarray(problem.h(t), dtype=float)[None, :] for t in self.times[:-1]]
         self.h_drift = [0.5 * h**2 * self.dt for h in self.h]
         self.p0 = np.broadcast_to(problem.p0, (n_paths, g.n)).copy()
-        self.guard_level = guard * (float(np.abs(problem.p0).max()) + 1.0)
+        # the blow-up guard: a step may not leave |p| above 1e6 (max |p0| + 1)
+        self.guard_level = 1e6 * (float(np.abs(problem.p0).max()) + 1.0)
 
     def step(self, i: int, p: np.ndarray, v: float) -> np.ndarray:
         """p(t_{i+1}) from p(t_i) under the control value v."""
@@ -262,17 +263,12 @@ def _policy_cfl(problem: ControlProblem, policy: ControlPolicy, n_steps: int) ->
     return _cfl(problem, max(_k_sup(problem, t, policy.value_at(t)) for t in times))
 
 
-def _policy_cfl_number(problem: ControlProblem, policy: ControlPolicy, n_steps: int) -> float:
-    return _policy_cfl(problem, policy, n_steps).number(n_steps)
-
-
 def solve_zakai(
     problem: ControlProblem,
     policy: ControlPolicy,
     y_inc: np.ndarray,
     n_steps: int = 64,
     output_times: Sequence[float] | None = None,
-    guard: float = 1e6,
 ) -> ZakaiState:
     """Filter densities along observation paths; y_inc has shape (paths, n_steps)."""
     times = np.linspace(0.0, problem.T, n_steps + 1)
@@ -281,7 +277,7 @@ def solve_zakai(
     pos = {int(i): r for r, i in enumerate(out_idx)}
     check_step_restrictions([_policy_cfl(problem, policy, n_steps)], n_steps,
                             time_grid_multiple(problem.T, output_times))
-    steps = _ZakaiSteps(problem, y_inc, n_steps, guard)
+    steps = _ZakaiSteps(problem, y_inc, n_steps)
     p = steps.p0
     for i in range(n_steps + 1):
         if i in pos:
@@ -308,7 +304,6 @@ def _policy_costs(
     choices: Sequence[Sequence[float]],
     y_inc: np.ndarray,
     n_steps: int,
-    guard: float,
 ) -> list[tuple[tuple[float, ...], CostEstimate]]:
     """The cost of every policy ControlPolicy(edges, values), values in
     itertools.product(*choices) order, stepped as a depth-first prefix tree.
@@ -328,7 +323,7 @@ def _policy_costs(
     k_sup = max(_k_sup(problem, t, v) for j in range(m) for v in choices[j]
                 for t in times[bounds[j]:bounds[j + 1]])
     check_step_restrictions([_cfl(problem, k_sup)], n_steps)
-    steps = _ZakaiSteps(problem, y_inc, n_steps, guard)
+    steps = _ZakaiSteps(problem, y_inc, n_steps)
     n_paths = y_inc.shape[0]
     out = []
 
@@ -357,11 +352,10 @@ def cost_functional(
     policy: ControlPolicy,
     y_inc: np.ndarray,
     n_steps: int = 64,
-    guard: float = 1e6,
 ) -> CostEstimate:
     """J = E[int <f(t,.,u_t), p> dt + <g, p(T)>], left-rectangle in time."""
     ((_, est),) = _policy_costs(
-        problem, policy.edges, [(v,) for v in policy.values], y_inc, n_steps, guard
+        problem, policy.edges, [(v,) for v in policy.values], y_inc, n_steps
     )
     return est
 
@@ -422,7 +416,6 @@ def solve_adjoint(
     y_inc: np.ndarray,
     n_steps: int = 64,
     output_times: Sequence[float] | None = None,
-    cond_threshold: float = 1e8,
 ) -> AdjointState:
     """Backward regression scheme for dq = [-L* q - f - h l] dt + l dY, q(T) = g.
 
@@ -462,7 +455,7 @@ def solve_adjoint(
         np.broadcast_to(problem.g, (y_inc.shape[0], g.n)),
         drift,
         lambda i: np.asarray(problem.h(times[i]), dtype=float),
-        coarse_steps, out_idx, dt, cond_threshold,
+        coarse_steps, out_idx, dt,
     )
     return AdjointState(
         grid=g,
@@ -508,7 +501,6 @@ def brute_force_optimal_control(
     n_intervals: int,
     y_inc: np.ndarray,
     n_steps: int = 64,
-    budget: int = 256,
 ) -> BruteForceResult:
     """Exhaustive search over the |U|^m uniform open-loop policies with common paths.
 
@@ -521,16 +513,14 @@ def brute_force_optimal_control(
     as cost_functional on the policy with the largest CFL number.  The table,
     the optimum, and every BlowUp are bit-identical to calling cost_functional
     on each policy in turn.  Ties break toward the lexicographically
-    smallest value tuple.
+    smallest value tuple.  More than 256 policies raise BudgetExceeded.
     """
     n_policies = len(problem.U) ** n_intervals
-    if n_policies > budget:
-        raise BudgetExceeded(
-            f"|U|^m = {n_policies} exceeds the enumeration budget {budget}"
-        )
+    if n_policies > 256:
+        raise BudgetExceeded(f"|U|^m = {n_policies} exceeds the enumeration budget 256")
     edges = ControlPolicy.uniform((0.0,) * n_intervals, problem.T).edges
     costs = _policy_costs(
-        problem, edges, [sorted(problem.U)] * n_intervals, y_inc, n_steps, guard=1e6
+        problem, edges, [sorted(problem.U)] * n_intervals, y_inc, n_steps
     )
     table = []
     best = None

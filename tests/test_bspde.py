@@ -1,13 +1,14 @@
 import math
 import re
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracbspde import bspde
+from fracbspde import bspde, regression
 from fracbspde.bspde import (
     BSPDEData,
     _PeriodicStencil,
@@ -649,11 +650,13 @@ def test_projection_cond_is_the_design_cond(seed, n_feat, collinearity, cols, co
         targets = targets + 1j * rng.normal(size=(n_paths, cols))
     scale = np.linalg.norm(design, axis=0) / np.sqrt(n_paths)
     reference = np.linalg.cond(design / scale)
-    _, _, cond = project_expectation(design, targets, cond_threshold=np.inf)
+    with patch.object(regression, "COND_LIMIT", np.inf):
+        _, _, cond = project_expectation(design, targets)
     assert abs(cond - reference) <= 1e-12 * reference * reference
-    project_expectation(design, targets, cond_threshold=reference * (1 + 1e-6))
-    with pytest.raises(IllConditioned):
-        project_expectation(design, targets, cond_threshold=reference * (1 - 1e-6))
+    with patch.object(regression, "COND_LIMIT", reference * (1 + 1e-6)):
+        project_expectation(design, targets)
+    with patch.object(regression, "COND_LIMIT", reference * (1 - 1e-6)), pytest.raises(IllConditioned):
+        project_expectation(design, targets)
 
 
 @settings(max_examples=80, deadline=None)
@@ -733,10 +736,8 @@ def test_regression_quadratic_terminal_functional():
 
 def test_regression_ill_conditioned_raises():
     data = make_data(g=np.sin(XI1 * GRID.x))
-    with pytest.raises(IllConditioned):
-        solve_bspde_regression(
-            data, n_paths=200, rng=RngStream(29), n_steps=16, cond_threshold=1.0
-        )
+    with patch.object(regression, "COND_LIMIT", 1.0), pytest.raises(IllConditioned):
+        solve_bspde_regression(data, n_paths=200, rng=RngStream(29), n_steps=16)
 
 
 def test_regression_stability_guard():
@@ -855,7 +856,7 @@ def analytic_single_mode_norms(alpha, beta, T, n_steps, output_stride):
 def test_holder_ratio_single_mode_matches_direct():
     alpha, beta = 1.5, 0.6
     data = make_data(alpha=alpha, g=np.sin(XI1 * GRID.x))
-    rep = verify_holder_estimate(data, beta=beta, n_steps=64, output_stride=4)
+    rep = verify_holder_estimate(data, beta=beta, n_steps=64)
     direct = analytic_single_mode_norms(alpha, beta, 1.0, 64, 4)
     assert rep.ratio == pytest.approx(direct, abs=1e-6)
 

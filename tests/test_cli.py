@@ -112,6 +112,15 @@ def test_levy_outputs(tmp_path):
     assert set(s["empirical_char_function"]) == {"0.5", "1.0", "2.0"}
 
 
+@pytest.mark.parametrize("horizon, steps", [(1.0, 49), (1.7, 5)])
+def test_levy_last_row_is_at_the_horizon(tmp_path, horizon, steps):
+    # steps * (horizon / steps) rounds to the float below horizon here
+    out = tmp_path / "paths.csv"
+    assert main(["levy", "--horizon", str(horizon), "--steps", str(steps), "--output", str(out)]) == 0
+    _, data = read_csv(out)
+    assert data[-1, 0] == horizon
+
+
 def test_solve_pde_subcommand(tmp_path):
     cfg = tmp_path / "pde.json"
     cfg.write_text(
@@ -238,6 +247,14 @@ def test_verify_all_unknown_check_exits_2(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_verify_all_repeated_check_exits_2(tmp_path, capsys):
+    # the report listed the check twice and timing.json held it once
+    argv = ["verify-all", "--checks", "gaussian-reduction,gaussian-reduction",
+            "--report", str(tmp_path / "r.json"), "--timing", str(tmp_path / "t.json")]
+    assert _config_error(capsys, argv) == "checks"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_run_verification_payload_schema():
@@ -633,6 +650,14 @@ def test_fraclap_rejects_uneven_csv(tmp_path, capsys):
     argv = ["fraclap", "--input", str(src), "--output", str(out)]
     assert _config_error(capsys, argv) == "input"
     assert _config_error(capsys, argv[:2] + [str(tmp_path / "missing.csv")] + argv[3:]) == "input"
+    assert not out.exists()
+
+
+def test_fraclap_rejects_a_csv_with_a_third_column(tmp_path, capsys):
+    src = tmp_path / "f.csv"
+    src.write_text("x,value,extra\n0,1,5\n1,2,6\n2,3,7\n3,4,8\n")
+    out = tmp_path / "out.csv"
+    assert _config_error(capsys, ["fraclap", "--input", str(src), "--output", str(out)]) == "input"
     assert not out.exists()
 
 

@@ -106,10 +106,6 @@ def test_singular_integral_rejects_bad_inputs(grid):
         apply_singular_integral(f, 1.5, SingularIntegralConfig(inner_cutoff=0.5))
     with pytest.raises(ResolutionError):
         SingularIntegralConfig(inner_cutoff=-1.0)
-    with pytest.raises(ResolutionError):
-        apply_singular_integral(
-            f, 1.5, SingularIntegralConfig(outer_radius=grid.length)
-        )
 
 
 def test_linearity(grid):

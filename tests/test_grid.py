@@ -474,6 +474,9 @@ def test_csv_round_trip(tmp_path):
         "x,val\n0,1\n1,2\n",  # bad header
         "",  # no header
         "x,value\n0,1\n1\n",  # short row
+        "x,value\n0,1\n1,2,3\n",  # long row
+        "x,value,extra\n0,1,5\n1,2,6\n",  # a third column
+        "x,value,\n0,1\n1,2\n",  # a third, empty header field
         "x,value\n0,1\n1,nan\n",  # non-finite value
         "x,value\n1,1\n0,2\n",  # decreasing x
     ],

@@ -258,7 +258,7 @@ def test_kernel_cdf_table_is_built_once_per_alpha():
 
 
 def test_verify_kernel_bounds_stability():
-    checks = verify_kernel_bounds(1.5, beta=0.6, base_n=1001)
+    checks = verify_kernel_bounds(1.5, base_n=1001)
     by_id = {c.check_id: c for c in checks}
     mass = by_id["weighted-integral-k0-g0"]
     assert mass.constant == pytest.approx(1.0, abs=2e-2)
@@ -319,7 +319,7 @@ def _direct_bound_constants(alpha, beta, n):
 @pytest.mark.parametrize("alpha", [1.2, 2.0])
 def test_verify_kernel_bounds_reads_base_grid_off_refined_grid(alpha):
     base_n = 41
-    checks = verify_kernel_bounds(alpha, beta=0.6, base_n=base_n)
+    checks = verify_kernel_bounds(alpha, base_n=base_n)
     base = _direct_bound_constants(alpha, 0.6, base_n)
     refined = _direct_bound_constants(alpha, 0.6, 2 * base_n - 1)
     assert [c.check_id for c in checks] == list(base)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import kolmogi
 from scipy.stats import ks_2samp, kstest
 
@@ -85,7 +87,7 @@ def test_poisson_series_cross_check():
 
 
 def test_path_lengths_and_reproducibility():
-    grid = PathGrid(0.0, 1.0, 64)
+    grid = PathGrid(1.0, 64)
 
     def levy_increments(stream):
         return sample_stable(1.5, grid.dt, stream.generator(), grid.N)
@@ -101,6 +103,14 @@ def test_path_lengths_and_reproducibility():
     assert not np.array_equal(lp, other)
 
 
+@settings(max_examples=200, deadline=None)
+@given(T=st.floats(1e-6, 1e6), N=st.integers(1, 5000))
+def test_path_grid_nodes_are_the_solver_grid(T, N):
+    times = PathGrid(T, N).times
+    assert times.tobytes() == np.linspace(0.0, T, N + 1).tobytes()
+    assert times[0] == 0.0 and times[-1] == T
+
+
 def test_child_streams_differ():
     base = RngStream(5)
     g0 = base.child(0).generator().standard_normal(8)
@@ -111,7 +121,7 @@ def test_child_streams_differ():
 
 
 def test_brownian_quadratic_variation():
-    grid = PathGrid(0.0, 1.0, 10_000)
+    grid = PathGrid(1.0, 10_000)
     bp = simulate_brownian_increments(grid, RngStream(29), 1)
     qv = np.sum(bp**2)
     # sum of squares is chi^2-like: sd = sqrt(2 T^2 / N)
@@ -128,13 +138,13 @@ def test_alpha2_increments_match_scaled_brownian():
 
 
 def test_forward_sde_pure_drift():
-    grid = PathGrid(0.0, 1.0, 32)
+    grid = PathGrid(1.0, 32)
     X = simulate_forward_sde(lambda t, x: np.ones_like(x), 0.0, 1.5, 2.0, grid, RngStream(41), 16)
     assert np.allclose(X[:, -1], 3.0, atol=1e-12)
 
 
 def test_forward_sde_char_function():
-    grid = PathGrid(0.0, 1.0, 16)
+    grid = PathGrid(1.0, 16)
     n = 100_000
     X = simulate_forward_sde(None, 1.0, 1.5, 0.0, grid, RngStream(43), n)
     xT = X[:, -1]
@@ -145,7 +155,7 @@ def test_forward_sde_char_function():
 
 def test_forward_sde_terminal_law_vs_kernel():
     alpha, T = 1.5, 1.0
-    grid = PathGrid(0.0, T, 8)
+    grid = PathGrid(T, 8)
     n = 20_000
     X = simulate_forward_sde(None, 1.0, alpha, 0.0, grid, RngStream(47), n)
     res = kstest(X[:, -1], kernel_cdf(alpha, A=T))
@@ -183,7 +193,7 @@ def test_feynman_kac_single_mode_decay():
 
 
 def test_batch_brownian_shape():
-    grid = PathGrid(0.0, 2.0, 10)
+    grid = PathGrid(2.0, 10)
     incs = simulate_brownian_increments(grid, RngStream(61), 7)
     assert incs.shape == (7, 10)
 

@@ -67,3 +67,51 @@ def test_cli_import_loads_every_module_the_bench_tracer_patches():
         "[getattr(sys.modules[m], name) for m, name, *_ in tracer.TARGETS]"
     )
     assert _fresh_python(code) == "[]\n"
+
+
+# one small call of each library function that bench/tracer.py counts arguments of
+_COUNTED_CALLS = """
+import sys
+import numpy as np
+from fracbspde import grid, kernel, levy, regression, zakai
+sys.path.insert(0, BENCH)
+import tracer
+
+g = grid.Grid1D(-8.0, 8.0, 16)
+zeros = np.zeros(g.n)
+p0 = np.exp(-g.x**2)
+prob = zakai.ControlProblem(g, 1.5, 0.1, lambda t: 1.0, lambda t, v: zeros, lambda t: zeros,
+                            lambda t, v: zeros, zeros, (0.0,), p0 / (p0.sum() * g.dx))
+policy = zakai.ControlPolicy.constant(0.0, prob.T)
+design = np.column_stack([np.ones(4), np.arange(4.0)])
+calls = {
+    "solve_zakai": lambda: zakai.solve_zakai(prob, policy, np.zeros((2, 4)), n_steps=4),
+    "cost_functional": lambda: zakai.cost_functional(prob, policy, np.zeros((2, 4)), n_steps=4),
+    "project_expectation": lambda: regression.project_expectation(design, design[:, 1:]),
+    "ensemble_process_norms": lambda: grid.ensemble_process_norms(
+        np.random.default_rng(0).normal(size=(2, 3, 8)), grid.Grid1D(0.0, 1.0, 8), dt=0.5, beta=0.5),
+    "eval_G": lambda: kernel.eval_G(np.array([0.5, 40.0]), 1.5),
+    "deriv_G": lambda: kernel.deriv_G(np.array([0.5, 40.0]), 1.5, 1),
+    "frac_lap_G": lambda: kernel.frac_lap_G(np.array([0.5, 40.0]), 1.5, 0.75),
+    "sample_stable": lambda: levy.sample_stable(1.5, 0.1, np.random.default_rng(0), 4),
+}
+counted = {fn for module, fn, _, counter in tracer.TARGETS
+           if counter is not None and module.startswith("fracbspde.")}
+assert counted == set(calls), counted ^ set(calls)
+t = tracer.Tracer()
+still = []
+with t.installed():
+    for name, call in calls.items():
+        before = dict(t.counts)
+        call()
+        if dict(t.counts) == before:
+            still.append(name)
+print(still)
+"""
+
+
+@pytest.mark.skipif(not os.path.isfile(os.path.join(BENCH, "tracer.py")), reason="no bench/ in this checkout")
+def test_every_bench_tracer_counter_binds_and_moves():
+    # each counter reads its function's arguments by name when the tracer is
+    # installed; a renamed or dropped parameter fails here, not in a traced run
+    assert _fresh_python(f"BENCH = {BENCH!r}" + _COUNTED_CALLS) == "[]\n"

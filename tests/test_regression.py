@@ -1,8 +1,11 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracbspde import regression
 from fracbspde.bspde import regress_backward
 from fracbspde.errors import IllConditioned
 from fracbspde.regression import design_matrix, factor_coarse_block, project_expectation
@@ -73,7 +76,8 @@ def test_projection_matches_lstsq(seed, case, complex_targets, noise):
 
     ref_fit, ref_cond = lstsq_projection(design, targets)
     if ref_cond <= 1e8:
-        fit, _, cond = project_expectation(design, targets, np.inf, leading=lead)
+        with patch.object(regression, "COND_LIMIT", np.inf):
+            fit, _, cond = project_expectation(design, targets, leading=lead)
         assert fit.dtype == targets.dtype
         # eps cond max|T| from the span, 8 sqrt(n) ulps from sums over the paths
         bound = 0.5 * EPS * (ref_cond + 16.0 * np.sqrt(n_paths)) * np.abs(targets).max()
@@ -82,11 +86,12 @@ def test_projection_matches_lstsq(seed, case, complex_targets, noise):
     for threshold in (1e8, ref_cond * 10.0 ** rng.uniform(-1, 1)):
         if abs(np.log(ref_cond / threshold)) < 1e-6:
             continue
-        if ref_cond > threshold:
-            with pytest.raises(IllConditioned):
-                project_expectation(design, targets, threshold, leading=lead)
-        else:
-            project_expectation(design, targets, threshold, leading=lead)
+        with patch.object(regression, "COND_LIMIT", threshold):
+            if ref_cond > threshold:
+                with pytest.raises(IllConditioned):
+                    project_expectation(design, targets, leading=lead)
+            else:
+                project_expectation(design, targets, leading=lead)
 
 
 def test_coarse_columns_lead_and_stay_within_a_segment():
@@ -112,9 +117,9 @@ def test_backward_regression_factors_each_coarse_segment_once(monkeypatch):
         factored.append(step)
         return factor_coarse_block(design, step, coarse_steps)
 
-    def project(design, targets, *args, leading=None, **kw):
+    def project(design, targets, leading=None, **kw):
         projected.append(design.shape[1] - leading.width)
-        return project_expectation(design, targets, *args, leading=leading, **kw)
+        return project_expectation(design, targets, leading=leading, **kw)
 
     monkeypatch.setattr("fracbspde.bspde.factor_coarse_block", factor)
     monkeypatch.setattr("fracbspde.bspde.project_expectation", project)
@@ -123,7 +128,7 @@ def test_backward_regression_factors_each_coarse_segment_once(monkeypatch):
     inc = rng.normal(0.0, np.sqrt(1.0 / n_steps), (600, n_steps))
     regress_backward(
         inc, np.ones((600, 1)), lambda i, y: -y, lambda i: 0.0,
-        np.arange(8, 65, 8), np.array([0]), 1.0 / n_steps, 1e8,
+        np.arange(8, 65, 8), np.array([0]), 1.0 / n_steps,
     )
     assert factored == [63, 56, 48, 40, 32, 24, 16, 8]
     # a step's own columns: W_i, W_i W(s) for its k coarse values, W_i^2; none at 0

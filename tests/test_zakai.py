@@ -155,7 +155,7 @@ def test_zakai_constant_observation_closed_form():
     prob = make_problem(h=lambda t: np.full(GRID.n, h0))
     n_steps = 32
     rng = RngStream(61)
-    y_inc = simulate_brownian_increments(PathGrid(0.0, prob.T, n_steps), rng, 4)
+    y_inc = simulate_brownian_increments(PathGrid(prob.T, n_steps), rng, 4)
     state = solve_zakai(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps)
     y_T = y_inc.sum(axis=1)
     base = apply_semigroup_A(GridFunction(GRID, prob.p0), prob.T, prob.alpha).values
@@ -169,7 +169,7 @@ def test_zakai_positivity_for_smooth_density():
         h=lambda t: 0.5 * np.cos(XI1 * GRID.x),
     )
     n_steps = 64
-    y_inc = simulate_brownian_increments(PathGrid(0.0, prob.T, n_steps), RngStream(67), 4)
+    y_inc = simulate_brownian_increments(PathGrid(prob.T, n_steps), RngStream(67), 4)
     state = solve_zakai(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps)
     floor = -1e-6 * np.abs(state.p).max()
     assert state.p.min() > floor
@@ -183,7 +183,7 @@ def test_zakai_first_order_self_convergence():
     )
     policy = ControlPolicy.constant(0.0, prob.T)
     fine_steps = 256
-    y_fine = simulate_brownian_increments(PathGrid(0.0, prob.T, fine_steps), RngStream(71), 2)
+    y_fine = simulate_brownian_increments(PathGrid(prob.T, fine_steps), RngStream(71), 2)
 
     def coarsen(inc, factor):
         return inc.reshape(inc.shape[0], -1, factor).sum(axis=2)
@@ -203,7 +203,7 @@ def test_zakai_blowup_guard():
     n_steps = 4
     y_inc = np.full((1, n_steps), 10.0)  # absurd observation increments
     with pytest.raises(BlowUp):
-        solve_zakai(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps, guard=10.0)
+        solve_zakai(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -212,7 +212,7 @@ def test_zakai_step_guard_trips_on_nan_inf_and_values_over_it(bad):
     # one path's row set to NaN, +inf or 1e3 times the guard level; with no
     # transport and no observation the step keeps that row constant
     prob = make_problem()
-    steps = zakai._ZakaiSteps(prob, np.zeros((2, 4)), 4, guard=10.0)
+    steps = zakai._ZakaiSteps(prob, np.zeros((2, 4)), 4)
     p = steps.p0.copy()
     p[1] = bad * steps.guard_level
     msg = "density norm exceeded the blow-up guard at step 1/4; reduce the step size"
@@ -282,7 +282,7 @@ def test_adjoint_matches_pde_solver_when_unobserved():
         g=g_term,
     )
     n_steps = 256
-    y_inc = simulate_brownian_increments(PathGrid(0.0, prob.T, n_steps), RngStream(79), 64)
+    y_inc = simulate_brownian_increments(PathGrid(prob.T, n_steps), RngStream(79), 64)
     adj = solve_adjoint(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps)
     data = BSPDEData(
         grid=GRID,
@@ -306,7 +306,7 @@ def test_adjoint_l_at_terminal_time_is_last_step_fit():
     # the scheme does not define l at T; it is the fit of step N-1
     prob = make_problem(g=np.sin(XI1 * GRID.x), h=lambda t: np.full(GRID.n, 0.5))
     n_steps = 64
-    y_inc = simulate_brownian_increments(PathGrid(0.0, prob.T, n_steps), RngStream(83), 64)
+    y_inc = simulate_brownian_increments(PathGrid(prob.T, n_steps), RngStream(83), 64)
     adj = solve_adjoint(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps)
     last = prob.T * (1.0 - 1.0 / n_steps)
     np.testing.assert_array_equal(adj.l_at(prob.T), adj.l_at(last))
@@ -373,9 +373,9 @@ def test_brute_force_single_policy_and_budget():
     y_inc = np.zeros((2, 8))
     res = brute_force_optimal_control(prob, n_intervals=2, y_inc=y_inc, n_steps=8)
     assert res.policy.values == (0.5, 0.5)
-    prob3 = make_problem(U=(0.0, 1.0))
+    prob2 = make_problem(U=(0.0, 1.0))  # 2^9 = 512 policies, over the budget of 256
     with pytest.raises(BudgetExceeded):
-        brute_force_optimal_control(prob3, n_intervals=4, y_inc=y_inc, n_steps=8, budget=8)
+        brute_force_optimal_control(prob2, n_intervals=9, y_inc=np.zeros((2, 9)), n_steps=9)
 
 
 def per_policy_search(prob, n_intervals, y_inc, n_steps):
@@ -485,8 +485,8 @@ def test_brute_force_raises_what_the_per_policy_search_raises(n_intervals, nan_v
     cost_functional(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps)
     policies = [ControlPolicy.uniform(values, prob.T)
                 for values in itertools.product(sorted(prob.U), repeat=n_intervals)]
-    worst = max(policies, key=lambda p: zakai._policy_cfl_number(prob, p, n_steps))
-    if zakai._policy_cfl_number(prob, worst, n_steps) > 1.0:
+    worst = max(policies, key=lambda p: zakai._policy_cfl(prob, p, n_steps).number(n_steps))
+    if zakai._policy_cfl(prob, worst, n_steps).number(n_steps) > 1.0:
         with pytest.raises(StabilityError) as ref:
             cost_functional(prob, worst, y_inc, n_steps=n_steps)
     else:
@@ -500,7 +500,7 @@ def test_brute_force_raises_what_the_per_policy_search_raises(n_intervals, nan_v
 def test_maximum_principle_reuses_the_full_run_as_fine_probe(monkeypatch, n_paths, runs):
     prob = drift_target_problem()
     n_steps = 16  # a 4-step probe is outside the explicit adjoint's stability region
-    y_inc = simulate_brownian_increments(PathGrid(0.0, prob.T, n_steps), RngStream(103), n_paths)
+    y_inc = simulate_brownian_increments(PathGrid(prob.T, n_steps), RngStream(103), n_paths)
     policy = ControlPolicy.uniform((0.0, 0.5), prob.T)
     calls = Counter()
     for name in ("solve_zakai", "solve_adjoint"):
@@ -542,7 +542,7 @@ def drift_target_problem(U=(-0.5, 0.0, 0.5), T=0.5):
 def test_brute_force_argmin_stable_under_fresh_seed():
     prob = drift_target_problem()
     n_steps = 24
-    grid_t = PathGrid(0.0, prob.T, n_steps)
+    grid_t = PathGrid(prob.T, n_steps)
     y_a = simulate_brownian_increments(grid_t, RngStream(83, 0), 1500)
     y_b = simulate_brownian_increments(grid_t, RngStream(83, 1), 1500)
     res_a = brute_force_optimal_control(prob, n_intervals=2, y_inc=y_a, n_steps=n_steps)
@@ -556,7 +556,7 @@ def test_brute_force_argmin_stable_under_fresh_seed():
 def test_maximum_principle_vacuous_single_control():
     prob = drift_target_problem(U=(0.3,))
     n_steps = 16
-    y_inc = simulate_brownian_increments(PathGrid(0.0, prob.T, n_steps), RngStream(89), 256)
+    y_inc = simulate_brownian_increments(PathGrid(prob.T, n_steps), RngStream(89), 256)
     policy = ControlPolicy.constant(0.3, prob.T)
     rep = verify_maximum_principle(prob, policy, y_inc, n_steps=n_steps)
     assert rep.passed
@@ -585,7 +585,7 @@ def test_maximum_principle_separable_cost_exact():
 def test_maximum_principle_full_toy():
     prob = drift_target_problem()
     n_steps = 24
-    y_inc = simulate_brownian_increments(PathGrid(0.0, prob.T, n_steps), RngStream(97), 2000)
+    y_inc = simulate_brownian_increments(PathGrid(prob.T, n_steps), RngStream(97), 2000)
     res = brute_force_optimal_control(prob, n_intervals=2, y_inc=y_inc, n_steps=n_steps)
     rep = verify_maximum_principle(prob, res.policy, y_inc, n_steps=n_steps)
     assert rep.passed, [(e.t, e.v, e.margin, e.tolerance) for e in rep.entries if not e.passed]
@@ -594,7 +594,7 @@ def test_maximum_principle_full_toy():
 def test_girsanov_unit_mean_mass():
     prob = make_problem(h=lambda t: 0.5 * np.cos(XI1 * GRID.x), g=np.ones(GRID.n))
     n_steps = 32
-    y_inc = simulate_brownian_increments(PathGrid(0.0, prob.T, n_steps), RngStream(101), 4000)
+    y_inc = simulate_brownian_increments(PathGrid(prob.T, n_steps), RngStream(101), 4000)
     est = cost_functional(prob, ControlPolicy.constant(0.0, prob.T), y_inc, n_steps=n_steps)
     assert abs(est.mean - 1.0) <= 3.0 * est.stderr + 1e-3
 
@@ -668,7 +668,8 @@ def test_refinement_probe_cfl_names_the_steps_to_pass(monkeypatch):
         r"steps; raise n_steps to at least 506$",
     ):
         verify_maximum_principle(prob, policy, y_inc, n_steps=24)
-    assert zakai._policy_cfl_number(prob, policy, 20) <= 1.0 < zakai._policy_cfl_number(prob, policy, 19)
+    cfl = [zakai._policy_cfl(prob, policy, n).number(n) for n in (20, 19)]
+    assert cfl[0] <= 1.0 < cfl[1]
     with pytest.raises(StabilityError, match=r"^explicit adjoint symbol 1\.7445 > 1; .* 506$"):
         check_step_count(prob, policy, 40)
     with pytest.raises(StabilityError, match="refinement probe at n_steps / 2 = 252 steps"):
@@ -722,7 +723,7 @@ FRAC = st.floats(0.0, 1.0)
 def test_transport_cfl_names_the_least_step_count_that_passes(steps_k, T, frac):
     n_steps = max(1, math.ceil(frac * steps_k))
     prob, policy = constant_k_problem(steps_k * BOX32.dx / T, T)
-    assume(zakai._policy_cfl_number(prob, policy, n_steps) > 1.0)
+    assume(zakai._policy_cfl(prob, policy, n_steps).number(n_steps) > 1.0)
     y_inc = np.zeros((1, n_steps))
     with pytest.raises(StabilityError) as ref:
         solve_zakai(prob, policy, y_inc, n_steps=n_steps)
@@ -733,8 +734,8 @@ def test_transport_cfl_names_the_least_step_count_that_passes(steps_k, T, frac):
         with pytest.raises(StabilityError, match=f"^{re.escape(message)}$"):
             run()
     named = named_steps(message)
-    assert zakai._policy_cfl_number(prob, policy, named) <= 1.0
-    assert zakai._policy_cfl_number(prob, policy, named - 1) > 1.0
+    assert zakai._policy_cfl(prob, policy, named).number(named) <= 1.0
+    assert zakai._policy_cfl(prob, policy, named - 1).number(named - 1) > 1.0
 
 
 def symbol_steps(K, T):
@@ -817,7 +818,7 @@ def test_adjoint_symbol_check_names_the_steps_that_pass():
     K = 0.95 * GRID.dx / (4.0 / n_steps)
     prob = make_problem(T=4.0, k=lambda t, v: np.full(GRID.n, v), U=(K,), g=np.exp(-GRID.x**2))
     policy = ControlPolicy.constant(K, prob.T)
-    assert zakai._policy_cfl_number(prob, policy, n_steps) <= 1.0
+    assert zakai._policy_cfl(prob, policy, n_steps).number(n_steps) <= 1.0
     match = r"^explicit adjoint symbol 2\.9381 > 1; raise n_steps to at least 319$"
     with pytest.raises(StabilityError, match=match):
         solve_adjoint(prob, policy, np.zeros((2, n_steps)), n_steps=n_steps)
