@@ -30,6 +30,7 @@ from .errors import (
     BlowUp,
     GridMismatch,
     InvalidExponent,
+    PositivityViolation,
     StepRestriction,
     UnsupportedSpec,
     check_step_restrictions,
@@ -45,7 +46,8 @@ from .grid import (
     time_indices,
 )
 from .kernel import CoefficientA, eval_A
-from .levy import FeynmanKacResult, RngStream, feynman_kac_estimate
+from .levy import (FeynmanKacResult, PathGrid, RngStream, feynman_kac_estimate,
+                   path_from_increments, simulate_brownian_increments)
 from .regression import design_matrix, factor_coarse_block, project_expectation
 
 __all__ = [
@@ -174,7 +176,7 @@ class BSPDEData:
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if self.T <= 0:
+        if not self.T > 0:  # a NaN T fails
             raise ValueError(f"horizon T must be > 0, got {self.T}")
         if isinstance(self.g, GridFunction):
             if self.g.grid != self.grid:
@@ -344,29 +346,28 @@ def solve_fourier_deterministic(
     with the s-integral on the shared composite-Simpson rule; v == 0.
     """
     g = data.grid
-    times = np.linspace(0.0, data.T, n_steps + 1)
-    dt = data.T / n_steps
+    grid_t = PathGrid(data.T, n_steps)
     lam = frac_lap_multiplier(g, data.alpha)
-    acc = _cumulative_A(data.a, times)
+    acc = _cumulative_A(data.a, grid_t.times)
 
     g_hat = np.fft.fft(data.deterministic_g())
     f_fn = data.deterministic_f()
     if f_fn is not None:
-        f_hat = np.fft.fft(_f_values(f_fn, times), axis=1)
+        f_hat = np.fft.fft(_f_values(f_fn, grid_t.times), axis=1)
 
-    out_idx = time_indices(times, output_times)
+    out_idx = time_indices(grid_t.times, output_times)
     u = np.empty((out_idx.size, g.n))
     for row, i in enumerate(out_idx):
         m = n_steps - i
         u_hat = np.exp(-(acc[-1] - acc[i]) * lam) * g_hat
         if m > 0 and f_fn is not None:
-            w = _tail_weights(m) * dt
+            w = _tail_weights(m) * grid_t.dt
             mults = np.exp(-(acc[i:] - acc[i])[:, None] * lam[None, :])
             u_hat = u_hat + np.sum(w[:, None] * mults * f_hat[i:], axis=0)
         u[row] = np.real(np.fft.ifft(u_hat))
     return SolutionField(
         grid=g,
-        times=times[out_idx],
+        times=grid_t.times[out_idx],
         u=_finite(u),
         v=None,
         meta={"solver": "fourier_deterministic", "n_steps": n_steps},
@@ -384,35 +385,34 @@ def solve_kernel_deterministic(
     round-off since the semigroup acts spectrally.
     """
     g = data.grid
-    times = np.linspace(0.0, data.T, n_steps + 1)
-    dt = data.T / n_steps
+    grid_t = PathGrid(data.T, n_steps)
     lam = frac_lap_multiplier(g, data.alpha)
-    acc = _cumulative_A(data.a, times)
+    acc = _cumulative_A(data.a, grid_t.times)
 
     g_field = data.deterministic_g()
     f_fn = data.deterministic_f()
     if f_fn is not None:
-        fvals = _f_values(f_fn, times)
+        fvals = _f_values(f_fn, grid_t.times)
 
     def propagate(field_vals: np.ndarray, A: float) -> np.ndarray:
         if A == 0.0:
             return field_vals.copy()
         return apply_multiplier(field_vals, np.exp(-A * lam))
 
-    out_idx = time_indices(times, output_times)
+    out_idx = time_indices(grid_t.times, output_times)
     u = np.empty((out_idx.size, g.n))
     for row, i in enumerate(out_idx):
         m = n_steps - i
         val = propagate(g_field, acc[-1] - acc[i])
         if m > 0 and f_fn is not None:
-            w = _tail_weights(m) * dt
+            w = _tail_weights(m) * grid_t.dt
             for j in range(i, n_steps + 1):
                 if w[j - i] != 0.0:
                     val = val + w[j - i] * propagate(fvals[j], acc[j] - acc[i])
         u[row] = val
     return SolutionField(
         grid=g,
-        times=times[out_idx],
+        times=grid_t.times[out_idx],
         u=_finite(u),
         v=None,
         meta={"solver": "kernel_deterministic", "n_steps": n_steps},
@@ -443,8 +443,8 @@ def solve_pde_variable_coeff(
     time-constant coefficients, every step for time-varying ones.
     """
     g = data.grid
-    times = np.linspace(0.0, data.T, n_steps + 1)
-    dt = data.T / n_steps
+    grid_t = PathGrid(data.T, n_steps)
+    times, dt = grid_t.times, grid_t.dt
     lam = frac_lap_multiplier(g, data.alpha)
     xi_max = float(np.max(np.abs(g.xi)))
 
@@ -458,9 +458,12 @@ def solve_pde_variable_coeff(
 
     def spread(fn, t: float) -> float:
         v = np.asarray(fn(t), dtype=float)
+        if fn is a_xt and not np.all(v > 0):  # NaN included
+            raise PositivityViolation(f"diffusivity a_xt(t={t}) has an entry that is not > 0")
         return float(np.max(np.abs(v - v.mean())))
 
-    # stability of the explicit residual, sampled at step times (a NaN spread is skipped)
+    # a_xt > 0 and the stability of the explicit residual, sampled at step times
+    # before any step (a NaN spread of b is skipped)
     worst_frac = 0.0 if a_xt is None else max(0.0, *(spread(a_xt, t) for t in times))
     worst_trans = 0.0 if b_fn is None else max(0.0, *(spread(b_fn, t) for t in times))
     check_step_restrictions([
@@ -528,13 +531,6 @@ def solve_pde_variable_coeff(
 # --- pathwise solvers -----------------------------------------------------------
 
 
-def _brownian_path(increments: np.ndarray) -> np.ndarray:
-    """W at steps 0..N (W_0 = 0) from its (paths, N) increments, built in place."""
-    w_cum = np.zeros((increments.shape[0], increments.shape[1] + 1))
-    np.cumsum(increments, axis=1, out=w_cum[:, 1:])
-    return w_cum
-
-
 def _require_sigma_zero(data: BSPDEData) -> None:
     probes = np.linspace(0.0, data.T, 9)
     if any(not abs(data.sigma_at(t)) <= 1e-14 for t in probes):  # a NaN sigma is not zero
@@ -567,16 +563,14 @@ def solve_bspde_linear_gaussian(
     terms = data.g.affine_terms(data.T)
     f = data.deterministic_f()
     g = data.grid
-    times = np.linspace(0.0, data.T, n_steps + 1)
-    dt = data.T / n_steps
-    out_idx = time_indices(times, output_times)
+    grid_t = PathGrid(data.T, n_steps)
+    out_idx = time_indices(grid_t.times, output_times)
 
     def fourier_part(terminal: np.ndarray, f: FieldFn | None) -> np.ndarray:
         part = BSPDEData(grid=g, alpha=data.alpha, T=data.T, a=data.a, g=terminal, f=f)
-        return solve_fourier_deterministic(part, n_steps=n_steps, output_times=times[out_idx]).u
+        return solve_fourier_deterministic(part, n_steps=n_steps, output_times=grid_t.times[out_idx]).u
 
-    w_inc = rng.generator().normal(0.0, np.sqrt(dt), (n_paths, n_steps))
-    w = _brownian_path(w_inc)[:, out_idx]
+    w = path_from_increments(simulate_brownian_increments(grid_t, rng, n_paths))[:, out_idx]
     w.flags.writeable = False  # shared by the caller and the solution's factors
 
     # the deterministic source part, then R_t^T of each terminal profile
@@ -590,7 +584,7 @@ def solve_bspde_linear_gaussian(
 
     sol = AffineSolutionField(
         grid=g,
-        times=times[out_idx],
+        times=grid_t.times[out_idx],
         source=source,
         w=w,
         terms=factors,
@@ -675,16 +669,14 @@ def regress_backward(
     columns) and the largest design condition number.
     """
     n_paths, n_steps = increments.shape
-    w_cum = _brownian_path(increments)
-    coarse_steps = np.asarray(coarse_steps)
-    pos = {int(i): r for r, i in enumerate(out_idx)}
+    w_cum = path_from_increments(increments)
+    coarse_steps, out_idx = np.asarray(coarse_steps), np.asarray(out_idx)
     Y = terminal
     cols = Y.shape[1]
-    Y_out = np.empty((n_paths, len(out_idx), cols), dtype=Y.dtype)
+    Y_out = np.empty((n_paths, out_idx.size, cols), dtype=Y.dtype)
     Z_out = np.zeros_like(Y_out)
-    se_out = np.zeros((len(out_idx), cols))
-    if n_steps in pos:
-        Y_out[:, pos[n_steps]] = Y
+    se_out = np.zeros((out_idx.size, cols))
+    Y_out[:, out_idx == n_steps] = Y[:, None]
     max_cond = 0.0
     segment = None
     for i in range(n_steps - 1, -1, -1):
@@ -697,10 +689,10 @@ def regress_backward(
         Z = fitted[:, :cols]
         Y = fitted[:, cols:] + dt * vol(i) * Z
         max_cond = max(max_cond, cond)
-        if i == n_steps - 1 and n_steps in pos:
-            Z_out[:, pos[n_steps]], se_out[pos[n_steps]] = Z, se
-        if i in pos:
-            Y_out[:, pos[i]], Z_out[:, pos[i]], se_out[pos[i]] = Y, Z, se
+        if i == n_steps - 1:  # Z at T is the last step's fit
+            Z_out[:, out_idx == n_steps], se_out[out_idx == n_steps] = Z[:, None], se
+        row = out_idx == i
+        Y_out[:, row], Z_out[:, row], se_out[row] = Y[:, None], Z[:, None], se
     return Y_out, Z_out, se_out, max_cond
 
 
@@ -720,7 +712,7 @@ def check_regression_steps(data: BSPDEData, n_steps: int,
     data reach), once its explicit diffusion number over them passes.  Else
     StabilityError names the least count that passes and whose grid holds
     output_times and the times the data functionals read W at."""
-    times = np.linspace(0.0, data.T, n_steps + 1)
+    times = PathGrid(data.T, n_steps).times
     mass = np.maximum(_mode_mass(data.g, data.grid, times), _mode_mass(data.f, data.grid, times))
     mode_indices = np.nonzero(mass > 1e-12 * max(float(mass.max()), 1e-300))[0]
     if mode_indices.size == 0:
@@ -751,13 +743,11 @@ def solve_bspde_regression(
     fit of the last step.
     """
     g = data.grid
-    times = np.linspace(0.0, data.T, n_steps + 1)
-    dt = data.T / n_steps
+    grid_t = PathGrid(data.T, n_steps)
+    times = grid_t.times
     mode_indices = check_regression_steps(data, n_steps, output_times)
     lam = frac_lap_multiplier(g, data.alpha)[mode_indices]
-
-    gen = rng.generator()
-    w_inc = gen.normal(0.0, np.sqrt(dt), (n_paths, n_steps))
+    w_inc = simulate_brownian_increments(grid_t, rng, n_paths)
 
     def field_hat_at(spec, step: int) -> np.ndarray:
         """FFT of the field (array, map t -> array or RandomFieldSpec) at a step,
@@ -765,7 +755,7 @@ def solve_bspde_regression(
         if isinstance(spec, RandomFieldSpec):
             out = np.zeros((n_paths, mode_indices.size), dtype=complex)
             # built per call, so no second full path lives beside regress_backward's
-            w_cum = _brownian_path(w_inc[:, :step])
+            w_cum = path_from_increments(w_inc[:, :step])
 
             def w_of(tau: float) -> np.ndarray:
                 return w_cum[:, min(time_indices(times, [tau])[0], step)]
@@ -779,11 +769,8 @@ def solve_bspde_regression(
         vals = np.asarray(spec(times[step]) if callable(spec) else spec, dtype=float)
         return np.broadcast_to(np.fft.fft(vals)[mode_indices], (n_paths, mode_indices.size))
 
-    coarse_steps = np.unique(
-        np.round(np.linspace(0, n_steps, min(8, n_steps) + 1)).astype(int)
-    )[1:]
     extra = time_indices(times, _functional_times(data))
-    coarse_steps = np.unique(np.concatenate([coarse_steps, extra]).astype(int))
+    coarse_steps = np.unique(np.concatenate([grid_t.coarse_steps(8), extra]).astype(int))
 
     def drift(i: int, u: np.ndarray) -> np.ndarray:
         f_hat = field_hat_at(data.f, i + 1) if data.f is not None else 0.0
@@ -792,7 +779,7 @@ def solve_bspde_regression(
     out_idx = time_indices(times, output_times)
     u_store, v_store, v_se_store, max_cond = regress_backward(
         w_inc, field_hat_at(data.g, n_steps), drift, lambda i: data.sigma_at(times[i]),
-        coarse_steps, out_idx, dt,
+        coarse_steps, out_idx, grid_t.dt,
     )
     return RegressionSolution(
         grid=g,
@@ -874,8 +861,7 @@ def verify_holder_estimate(
     if not 2.0 - data.alpha < beta < 1.0:
         raise InvalidExponent(f"beta={beta} outside (2 - alpha, 1)")
     g = data.grid
-    times = np.linspace(0.0, data.T, n_steps + 1)
-    out_times = times[::4]
+    out_times = PathGrid(data.T, n_steps).times[::4]
     dt_out = out_times[1] - out_times[0]
 
     random_g = isinstance(data.g, RandomFieldSpec)

@@ -36,7 +36,7 @@ from .kernel import (
     semigroup_apply,
     verify_kernel_bounds,
 )
-from .levy import PathGrid, RngStream, simulate_brownian_increments, simulate_forward_sde
+from .levy import PathGrid, RngStream, path_from_increments, simulate_brownian_increments, simulate_forward_sde
 from .zakai import (
     ControlPolicy,
     ControlProblem,
@@ -496,7 +496,7 @@ def check_zakai_closed_form(seed: int) -> CheckResult:
     base_hat = np.fft.fft(p0)
     lam = np.abs(grid.xi) ** 1.5
     # pathwise check on the first path; the state holds every step, so row i is t_i
-    y_path = np.concatenate([[0.0], np.cumsum(y_inc[0])])
+    y_path = path_from_increments(y_inc[:1])[0]
     for row, t in enumerate(state.times):
         base = np.real(np.fft.ifft(np.exp(-t * lam) * base_hat)) if t > 0 else p0
         expected = base * np.exp(h0 * y_path[row] - 0.5 * h0**2 * t)

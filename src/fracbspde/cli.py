@@ -54,7 +54,7 @@ from .kernel import (
     kernel_tail_mass,
     verify_kernel_bounds,
 )
-from .levy import PathGrid, RngStream, sample_stable, simulate_brownian_increments
+from .levy import PathGrid, RngStream, path_from_increments, sample_stable, simulate_brownian_increments
 from .presets import parse_field, parse_time_fn
 from .zakai import (
     ControlPolicy,
@@ -148,12 +148,12 @@ def _grid_from_cfg(cfg: dict, pathwise: bool = False) -> Grid1D:
     return Grid1D(g["x_min"], g["x_max"], g["n"])
 
 
-def _step_time_indices(ts: list, T: float, steps: int, key: str) -> np.ndarray:
-    """Indices of the times ts on the step grid of [0, T]; a ConfigError naming key otherwise."""
+def _step_time_indices(ts: list, grid_t: PathGrid, key: str) -> np.ndarray:
+    """Indices of the times ts on the step grid grid_t; a ConfigError naming key otherwise."""
     try:
-        return time_indices(np.linspace(0.0, T, steps + 1), ts)
+        return time_indices(grid_t.times, ts)
     except (OffGridTime, TypeError, ValueError) as exc:
-        raise ConfigError(f"{exc}; times must be numbers on the {steps}-step grid", key) from exc
+        raise ConfigError(f"{exc}; times must be numbers on the {grid_t.N}-step grid", key) from exc
 
 
 def _dump_json(obj, path: str) -> None:
@@ -279,9 +279,7 @@ def cmd_levy(cfg: dict) -> int:
     grid_t = PathGrid(cfg["horizon"], cfg["steps"])
     gen = RngStream(cfg["seed"]).generator()
     inc = sample_stable(cfg["alpha"], grid_t.dt, gen, (cfg["paths"], cfg["steps"]))
-    values = np.concatenate(
-        [np.zeros((cfg["paths"], 1)), np.cumsum(inc, axis=1)], axis=1
-    )
+    values = path_from_increments(inc)
     if cfg["output"]:
         header = ["t"] + [f"path{i}" for i in range(cfg["paths"])]
         _write_rows(cfg["output"], header, np.column_stack([grid_t.times, values.T]))
@@ -362,12 +360,15 @@ def _pde_data(cfg: dict) -> BSPDEData:
 def cmd_solve_pde(cfg: dict) -> int:
     data = _pde_data(cfg)
     out_times = cfg["output_times"] or list(np.linspace(0.0, cfg["T"], 5))
-    _step_time_indices(out_times, cfg["T"], cfg["steps"], "output_times")
+    _step_time_indices(out_times, PathGrid(cfg["T"], cfg["steps"]), "output_times")
     needs_var = any(cfg[k] is not None for k in ("a_x", "b", "c"))
     solve = solve_pde_variable_coeff if needs_var else solve_fourier_deterministic
     # an overflow surfaces as the BlowUp of the solver's finiteness guard, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve(data, n_steps=cfg["steps"], output_times=out_times)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve(data, n_steps=cfg["steps"], output_times=out_times)
+    except PositivityViolation as exc:  # a + a_x, or without a_x an a <= 0 that eval_A met
+        raise ConfigError(str(exc), "a" if cfg["a_x"] is None else "a_x") from exc
     rows = []
     for ti, t in enumerate(sol.times):
         for xj, uj in zip(data.grid.x, sol.u[ti]):
@@ -419,13 +420,14 @@ def cmd_solve_bspde(cfg: dict) -> int:
     probes = cfg["probe"] or [[0.0, 0.0]]
     if not all(isinstance(p, list) and len(p) == 2 and type(p[1]) in (int, float) for p in probes):
         raise ConfigError("each probe must be a [t, x] pair of numbers", "probe")
-    probe_idx = _step_time_indices([t for t, _ in probes], cfg["T"], cfg["steps"], "probe")
+    grid_t = PathGrid(cfg["T"], cfg["steps"])
+    probe_idx = _step_time_indices([t for t, _ in probes], grid_t, "probe")
     try:
         nodes = [grid.nearest_node(x) for _, x in probes]
     except OutOfRange as exc:
         raise ConfigError(str(exc), "probe") from exc
     quarter_idx = [round(q * cfg["steps"]) for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    out_times = np.linspace(0.0, cfg["T"], cfg["steps"] + 1)[np.union1d(quarter_idx, probe_idx)]
+    out_times = grid_t.times[np.union1d(quarter_idx, probe_idx)]
     stream = RngStream(cfg["seed"])
     with np.errstate(over="ignore", invalid="ignore"):  # as in cmd_solve_pde
         # the quarter nodes move with steps, so only the probe times bound the count it names

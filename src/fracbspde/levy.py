@@ -11,6 +11,8 @@ All randomness flows through counter-based Philox streams keyed by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -21,6 +23,7 @@ from .fraclap import c_alpha, check_alpha
 __all__ = [
     "RngStream",
     "PathGrid",
+    "path_from_increments",
     "sample_stable",
     "sample_stable_poisson_series",
     "simulate_brownian_increments",
@@ -52,23 +55,29 @@ class RngStream:
 
 @dataclass(frozen=True)
 class PathGrid:
-    """Uniform time grid 0 = t_0 < ... < t_N = T."""
+    """Uniform time grid 0 = t_0 < ... < t_N = T, the one step grid of every solver."""
 
     T: float
     N: int
 
     def __post_init__(self):
-        if self.N < 1 or self.T <= 0.0:
-            raise ValueError(f"need N >= 1 and T > 0, got N={self.N}, T={self.T}")
+        if not (isinstance(self.N, Integral) and self.N >= 1 and 0.0 < self.T < np.inf):  # a NaN T fails
+            raise ValueError(f"need an integer N >= 1 and a finite T > 0, got N={self.N}, T={self.T}")
 
     @property
     def dt(self) -> float:
         return self.T / self.N
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        """The nodes as every solver's time grid has them: the last one is T."""
-        return np.linspace(0.0, self.T, self.N + 1)
+        """The nodes np.linspace(0, T, N + 1), read-only: the last one is T."""
+        times = np.linspace(0.0, self.T, self.N + 1)
+        times.flags.writeable = False
+        return times
+
+    def coarse_steps(self, m: int) -> np.ndarray:
+        """Up to m evenly spaced steps in 1..N, N included."""
+        return np.unique(np.round(np.linspace(0, self.N, min(m, self.N) + 1)).astype(int))[1:]
 
 
 def sample_stable(alpha: float, dt: float, rng: np.random.Generator, size=None):
@@ -139,6 +148,13 @@ def simulate_brownian_increments(
     return rng.generator().normal(0.0, np.sqrt(grid.dt), (n_paths, grid.N))
 
 
+def path_from_increments(increments: np.ndarray) -> np.ndarray:
+    """The (paths, N + 1) path, 0 at step 0, from its (paths, N) increments."""
+    path = np.zeros((increments.shape[0], increments.shape[1] + 1))
+    np.cumsum(increments, axis=1, out=path[:, 1:])
+    return path
+
+
 def simulate_forward_sde(
     b: Callable[[float, np.ndarray], np.ndarray] | None,
     a: Callable[[float, np.ndarray], np.ndarray] | float,
@@ -158,8 +174,7 @@ def simulate_forward_sde(
     dt = grid.dt
     X = np.empty((n_paths, grid.N + 1))
     X[:, 0] = x0
-    for k in range(grid.N):
-        t = grid.times[k]
+    for k, t in enumerate(grid.times[:-1]):
         xk = X[:, k]
         drift = 0.0 if b is None else np.asarray(b(t, xk), dtype=float)
         scale = a(t, xk) if callable(a) else a
@@ -197,7 +212,7 @@ def feynman_kac_estimate(
     """
     check_alpha(alpha)
     gen = rng.generator()
-    dt = (T - t) / n_steps
+    dt = PathGrid(T - t, n_steps).dt
     X = np.full(n_paths, float(x))
     D = np.ones(n_paths)
     running = np.zeros(n_paths)

@@ -34,6 +34,7 @@ from .errors import BlowUp, BudgetExceeded, PositivityViolation, StepRestriction
 from .fraclap import check_alpha, frac_lap_multiplier
 from .grid import Grid1D, apply_multiplier, derivative_multiplier, time_grid_multiple, time_indices
 from .kernel import CoefficientA, eval_A
+from .levy import PathGrid
 
 __all__ = [
     "ControlProblem",
@@ -82,6 +83,8 @@ class ControlProblem:
 
     def __post_init__(self):
         check_alpha(self.alpha)
+        if not self.T > 0:  # a NaN T fails
+            raise ValueError(f"horizon T must be > 0, got {self.T}")
         self.g = np.asarray(self.g, dtype=float)
         self.p0 = np.asarray(self.p0, dtype=float)
         if not (np.all(np.isfinite(self.p0)) and self.p0.min() >= 0):
@@ -121,8 +124,7 @@ class ControlPolicy:
 
     @classmethod
     def uniform(cls, values: Sequence[float], T: float) -> "ControlPolicy":
-        m = len(values)
-        return cls(edges=tuple(np.linspace(0.0, T, m + 1)), values=tuple(values))
+        return cls(edges=tuple(PathGrid(T, len(values)).times), values=tuple(values))
 
 
 @dataclass
@@ -204,8 +206,8 @@ class _ZakaiSteps:
             raise ValueError(f"observation increments shape {y_inc.shape} != (paths, {n_steps})")
         g = problem.grid
         self.problem, self.y_inc, self.n_steps = problem, y_inc, n_steps
-        self.dt = problem.T / n_steps
-        self.times = np.linspace(0.0, problem.T, n_steps + 1)
+        grid_t = PathGrid(problem.T, n_steps)
+        self.dt, self.times = grid_t.dt, grid_t.times
         lam = frac_lap_multiplier(g, problem.alpha)
         # exact spectral fractional-diffusion factor over each step
         self.diffusion = [
@@ -259,7 +261,7 @@ def _cfl(problem: ControlProblem, k_sup: float) -> StepRestriction:
 
 def _policy_cfl(problem: ControlProblem, policy: ControlPolicy, n_steps: int) -> StepRestriction:
     """The CFL number of a run: max |k(t_i, u(t_i))| at its step times t_i, i < n_steps."""
-    times = np.linspace(0.0, problem.T, n_steps + 1)[:-1]
+    times = PathGrid(problem.T, n_steps).times[:-1]
     return _cfl(problem, max(_k_sup(problem, t, policy.value_at(t)) for t in times))
 
 
@@ -271,17 +273,15 @@ def solve_zakai(
     output_times: Sequence[float] | None = None,
 ) -> ZakaiState:
     """Filter densities along observation paths; y_inc has shape (paths, n_steps)."""
-    times = np.linspace(0.0, problem.T, n_steps + 1)
+    times = PathGrid(problem.T, n_steps).times
     out_idx = time_indices(times, output_times)
     p_out = np.empty((y_inc.shape[0], out_idx.size, problem.grid.n))
-    pos = {int(i): r for r, i in enumerate(out_idx)}
     check_step_restrictions([_policy_cfl(problem, policy, n_steps)], n_steps,
                             time_grid_multiple(problem.T, output_times))
     steps = _ZakaiSteps(problem, y_inc, n_steps)
     p = steps.p0
     for i in range(n_steps + 1):
-        if i in pos:
-            p_out[:, pos[i], :] = p
+        p_out[:, out_idx == i] = p[:, None]
         if i < n_steps:
             p = steps.step(i, p, policy.value_at(times[i]))
     return ZakaiState(
@@ -316,7 +316,7 @@ def _policy_costs(
     bit-identical to one.  One CFL check, over every (step time, value), comes first.
     """
     m = len(choices)
-    times = np.linspace(0.0, problem.T, n_steps + 1)
+    times = PathGrid(problem.T, n_steps).times
     owner = ControlPolicy(edges, tuple(range(m)))
     interval = [owner.value_at(t) for t in times[:-1]]  # nondecreasing
     bounds = np.searchsorted(interval, np.arange(m + 1))  # interval j: bounds[j]:bounds[j+1]
@@ -372,7 +372,7 @@ def _adjoint_symbol(
     |1 - dt a(t_{i+1}) lam + dt K d1| with K = max |k(t_{i+1}, u(t_i))| over the
     steps the drift reads, and its restriction (K and a held), passing from
     dt <= 2 a lam / (a^2 lam^2 + K^2 xi^2) per mode (inf when K^2 overflows)."""
-    times = np.linspace(0.0, problem.T, n_steps + 1)
+    times = PathGrid(problem.T, n_steps).times
     lam = frac_lap_multiplier(problem.grid, problem.alpha)
     d1 = derivative_multiplier(problem.grid, 1)
     K = max(_k_sup(problem, t, policy.value_at(s)) for s, t in zip(times[:-1], times[1:]))
@@ -436,13 +436,10 @@ def solve_adjoint(
     passes.  A non-finite q or l is BlowUp.
     """
     g = problem.grid
-    dt = problem.T / n_steps
-    times = np.linspace(0.0, problem.T, n_steps + 1)
+    grid_t = PathGrid(problem.T, n_steps)
+    times = grid_t.times
     check_step_restrictions([_adjoint_symbol(problem, policy, n_steps)[1]], n_steps,
                             time_grid_multiple(problem.T, output_times))
-    coarse_steps = np.unique(
-        np.round(np.linspace(0, n_steps, min(6, n_steps) + 1)).astype(int)
-    )[1:]
     out_idx = time_indices(times, output_times)
 
     def drift(i: int, q: np.ndarray) -> np.ndarray:
@@ -455,7 +452,7 @@ def solve_adjoint(
         np.broadcast_to(problem.g, (y_inc.shape[0], g.n)),
         drift,
         lambda i: np.asarray(problem.h(times[i]), dtype=float),
-        coarse_steps, out_idx, dt,
+        grid_t.coarse_steps(6), out_idx, grid_t.dt,
     )
     return AdjointState(
         grid=g,

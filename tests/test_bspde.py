@@ -30,6 +30,7 @@ from fracbspde.errors import (
     IllConditioned,
     OffGridTime,
     OutOfRange,
+    PositivityViolation,
     StabilityError,
     UnsupportedSpec,
 )
@@ -233,6 +234,27 @@ def test_pde_solver_stability_guard():
     data = make_data(g=np.sin(XI1 * GRID.x), a_xt=sharp)
     with pytest.raises(StabilityError):
         solve_pde_variable_coeff(data, n_steps=4)
+
+
+@pytest.mark.parametrize("a_xt", [
+    lambda t: np.full(GRID.n, -4.0),  # ran, and grew data of amplitude 1 to max |u| 1.131
+    lambda t: 1.0 + 3.0 * np.sin(XI1 * GRID.x),  # negative on part of the box
+    lambda t: np.where(GRID.x > 0, np.nan, 1.0),
+    lambda t: np.full(GRID.n, 1.0 - 2.0 * t),  # reaches 0 at t = 1/2 and goes below
+], ids=["constant", "partly_negative", "nan", "zero_at_a_step_time"])
+def test_pde_solver_rejects_a_diffusivity_not_above_zero_before_any_step(a_xt):
+    stepped = []
+    data = make_data(g=np.sin(XI1 * GRID.x), a_xt=a_xt, c=lambda t: stepped.append(t) or np.zeros(GRID.n))
+    with pytest.raises(PositivityViolation, match="a_xt"):
+        solve_pde_variable_coeff(data, n_steps=64)
+    assert stepped == []
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, float("nan")])
+def test_data_rejects_a_horizon_not_above_zero(T):
+    # a NaN T built, then failed in eval_A with "coefficient bounds inconsistent"
+    with pytest.raises(ValueError, match="horizon T must be > 0"):
+        make_data(T=T, g=np.zeros(GRID.n))
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from fracbspde.cli import COMMANDS, _flags, _load_config, build_parser, main, run_verification
 from fracbspde.grid import Grid1D, GridFunction, write_field_csv
+from fracbspde.presets import parse_field, parse_time_fn
 
 
 def read_csv(path):
@@ -148,6 +149,42 @@ def test_solve_pde_subcommand(tmp_path):
     ) < 1e-9
 
 
+@pytest.mark.parametrize("a_x, rate, solver", [
+    (None, 1.0, "fourier_deterministic"),
+    ("const:0.5", 1.5, "pde_variable_coeff"),  # a(t, x) = a(t) + a_x = 1.5
+])
+def test_solve_pde_a_x_and_report(tmp_path, a_x, rate, solver):
+    cfg = tmp_path / "pde.json"
+    cfg.write_text(json.dumps({"grid": {"n": 64}, "a_x": a_x, "steps": 16, "output_times": [0.0]}))
+    out, rep = tmp_path / "sol.csv", tmp_path / "rep.json"
+    assert main(["solve-pde", "--config", str(cfg), "--output", str(out), "--report", str(rep)]) == 0
+    _, data = read_csv(out)
+    xi1 = 2 * np.pi / 64.0
+    assert np.max(np.abs(data[:, 2] - np.exp(-rate * xi1**1.5) * np.sin(xi1 * data[:, 1]))) < 1e-12
+    assert json.load(open(rep))["solver"] == solver
+
+
+def test_gauss_field_and_sinmod_time_presets(tmp_path):
+    grid = Grid1D(-32.0, 32.0, 64)
+    np.testing.assert_allclose(parse_field("gauss:1.5:2:3", grid), 3 * np.exp(-(grid.x - 1.5) ** 2 / 4),
+                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose(parse_field("gauss:0:4", grid), np.exp(-grid.x**2 / 16), rtol=1e-15, atol=0)
+    t = np.linspace(0.0, 3.0, 7)
+    np.testing.assert_allclose(parse_time_fn("sinmod:1:0.5:2")(t), 1 + 0.5 * np.sin(2 * t), rtol=1e-15)
+    # through solve-pde: u(T) = g and u(0) = e^{-A |xi|^1.5} g with A = int_0^1 (1 + 0.5 sin 2t) dt
+    cfg = tmp_path / "pde.json"
+    cfg.write_text(json.dumps({"grid": {"n": 64}, "a": "sinmod:1:0.5:2", "g": "gauss:0:4", "steps": 16,
+                               "output_times": [0.0, 1.0]}))
+    out = tmp_path / "sol.csv"
+    assert main(["solve-pde", "--config", str(cfg), "--output", str(out)]) == 0
+    _, data = read_csv(out)
+    g = np.exp(-grid.x**2 / 16)
+    assert np.max(np.abs(data[data[:, 0] == 1.0, 2] - g)) < 1e-14
+    A = 1.0 + 0.25 * (1.0 - np.cos(2.0))
+    u0 = np.real(np.fft.ifft(np.exp(-A * np.abs(grid.xi) ** 1.5) * np.fft.fft(g)))
+    assert np.max(np.abs(data[data[:, 0] == 0.0, 2] - u0)) < 1e-9
+
+
 def test_solve_bspde_subcommand(tmp_path):
     cfg = tmp_path / "bspde.json"
     cfg.write_text(
@@ -194,6 +231,18 @@ def test_zakai_subcommand(tmp_path):
     assert header == ["t", "x", "p"]
     t0 = data[data[:, 0] == 0.0]
     assert abs(np.trapezoid(t0[:, 2], t0[:, 1]) - 1.0) < 1e-3
+
+
+def test_zakai_report_conserves_mass_without_observation(tmp_path):
+    rep = tmp_path / "rep.json"
+    cfg = tmp_path / "z.json"
+    cfg.write_text(json.dumps({"grid": {"n": 64}, "steps": 8}))
+    argv = ["zakai", "--config", str(cfg), "--output", str(tmp_path / "z.csv"), "--report", str(rep)]
+    assert main(argv) == 0
+    report = json.load(open(rep))
+    assert report["config"]["h"] is None
+    assert abs(report["mass_initial"] - 1.0) <= 1e-12
+    assert abs(report["mass_terminal"] - 1.0) <= 1e-12
 
 
 def test_control_subcommand(tmp_path):
@@ -472,6 +521,13 @@ def test_a_named_step_count_is_one_the_command_accepts(case, j):
         (["kernel", "--A", "1e-300"], "A"),
         (["fraclap", "--method", "integral", "--inner-cutoff", "0.5"], "inner_cutoff"),
         ({"mu": "const:0"}, "mu"),
+        # a(t) + a_x not > 0: the solve ran and exited 0
+        (("solve-pde", {"a_x": "const:-5", "grid": {"n": 64}}), "a_x"),
+        (("solve-pde", {"a_x": "sin:1:3", "grid": {"n": 64}}), "a_x"),
+        # a = 0.5 + sin(2 pi 2048 t) is 0.5 at the 2049 samples that check a,
+        # and -0.37 at points the 3-step solve integrates over: it exited 1
+        (("solve-pde", {"a": f"sinmod:0.5:1:{2 * np.pi * 2048}", "steps": 3, "output_times": [0.0, 1.0],
+                        "grid": {"n": 64}}), "a"),
     ],
 )
 def test_config_type_and_grid_errors_exit_2(tmp_path, capsys, cfg, key):

@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 from scipy.special import kolmogi
 from scipy.stats import ks_2samp, kstest
 
-from fracbspde.kernel import kernel_cdf
+from fracbspde import bspde, zakai
+from fracbspde.grid import Grid1D
+from fracbspde.kernel import CoefficientA, kernel_cdf
 from fracbspde.levy import (
     PathGrid,
     RngStream,
     feynman_kac_estimate,
+    path_from_increments,
     sample_stable,
     sample_stable_poisson_series,
     simulate_brownian_increments,
@@ -109,6 +112,82 @@ def test_path_grid_nodes_are_the_solver_grid(T, N):
     times = PathGrid(T, N).times
     assert times.tobytes() == np.linspace(0.0, T, N + 1).tobytes()
     assert times[0] == 0.0 and times[-1] == T
+
+
+@pytest.mark.parametrize("T, N", [
+    (float("nan"), 4),  # NaN <= 0 is False: the grid built and drew NaN increments
+    (float("inf"), 4),
+    (0.0, 4),
+    (-1.0, 4),
+    (1.0, 0),
+    (1.0, 2.5),  # built, then its times raised TypeError
+    (1.0, 4.0),
+])
+def test_path_grid_rejects_a_horizon_or_count_that_is_not_one(T, N):
+    with pytest.raises(ValueError, match="integer N >= 1"):
+        PathGrid(T, N)
+
+
+def test_path_grid_times_are_computed_once_and_read_only():
+    grid = PathGrid(1.0, np.int64(8))
+    assert grid.times is grid.times
+    with pytest.raises(ValueError, match="read-only"):
+        grid.times[0] = 1.0
+
+
+@pytest.mark.parametrize("N, m, steps", [
+    (64, 8, [8, 16, 24, 32, 40, 48, 56, 64]),
+    (24, 6, [4, 8, 12, 16, 20, 24]),
+    (10, 6, [2, 3, 5, 7, 8, 10]),
+    (3, 8, [1, 2, 3]),
+])
+def test_coarse_steps_are_evenly_spaced_and_end_at_n(N, m, steps):
+    assert PathGrid(1.0, N).coarse_steps(m).tolist() == steps
+
+
+def test_path_from_increments_is_the_cumulative_sum_from_zero():
+    inc = RngStream(5).generator().normal(size=(3, 17))
+    expected = np.concatenate([np.zeros((3, 1)), np.cumsum(inc, axis=1)], axis=1)
+    assert path_from_increments(inc).tobytes() == expected.tobytes()
+
+
+_DATA = bspde.BSPDEData(grid=Grid1D(-8.0, 8.0, 16), alpha=1.5, T=1.0, a=CoefficientA.constant(1.0),
+                        g=np.zeros(16))
+_RANDOM = bspde.BSPDEData(grid=_DATA.grid, alpha=1.5, T=1.0, a=_DATA.a, g=bspde.RandomFieldSpec(
+    (bspde.RandomTerm(np.ones(16), bspde.PathFunctional.affine_in_w(1.0, 0.0, 1.0)),)))
+_PROB = zakai.ControlProblem(_DATA.grid, 1.5, 1.0, lambda t: 1.0, lambda t, v: np.zeros(16),
+                             lambda t: np.zeros(16), lambda t, v: np.zeros(16), np.zeros(16), (0.0,),
+                             np.full(16, 1.0 / 16.0))
+_POLICY = zakai.ControlPolicy.constant(0.0, 1.0)
+_NO_Y = np.zeros((2, 0))
+_ZERO_STEP_RUNS = {
+    "solve_fourier_deterministic": lambda: bspde.solve_fourier_deterministic(_DATA, n_steps=0),
+    "solve_kernel_deterministic": lambda: bspde.solve_kernel_deterministic(_DATA, n_steps=0),
+    "solve_pde_variable_coeff": lambda: bspde.solve_pde_variable_coeff(_DATA, n_steps=0),
+    "solve_bspde_linear_gaussian": lambda: bspde.solve_bspde_linear_gaussian(_RANDOM, 2, RngStream(0), 0),
+    "solve_bspde_regression": lambda: bspde.solve_bspde_regression(_RANDOM, 2, RngStream(0), 0),
+    "check_regression_steps": lambda: bspde.check_regression_steps(_RANDOM, 0, None),
+    "verify_holder_estimate": lambda: bspde.verify_holder_estimate(_DATA, 0.75, n_steps=0),
+    "fbsde_crosscheck solver": lambda: bspde.fbsde_crosscheck(_DATA, [(0.0, 0.0)], RngStream(0),
+                                                              n_steps_solver=0),
+    "fbsde_crosscheck mc": lambda: bspde.fbsde_crosscheck(_DATA, [(0.0, 0.0)], RngStream(0), n_paths=2,
+                                                          n_steps_solver=4, n_steps_mc=0),
+    "feynman_kac_estimate": lambda: feynman_kac_estimate(None, None, None, None, 1.0, 1.5, 0.0, 0.0, 1.0,
+                                                         0, 2, RngStream(0)),
+    "solve_zakai": lambda: zakai.solve_zakai(_PROB, _POLICY, _NO_Y, n_steps=0),
+    "cost_functional": lambda: zakai.cost_functional(_PROB, _POLICY, _NO_Y, n_steps=0),
+    "solve_adjoint": lambda: zakai.solve_adjoint(_PROB, _POLICY, _NO_Y, n_steps=0),
+    "brute_force_optimal_control": lambda: zakai.brute_force_optimal_control(_PROB, 1, _NO_Y, n_steps=0),
+    "check_step_count": lambda: zakai.check_step_count(_PROB, _POLICY, 0),
+    "verify_maximum_principle": lambda: zakai.verify_maximum_principle(_PROB, _POLICY, _NO_Y, n_steps=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ZERO_STEP_RUNS))
+def test_zero_steps_is_a_value_error_from_every_solver(name):
+    # each solver steps on PathGrid(T, n_steps); a bare T / 0 raised ZeroDivisionError
+    with pytest.raises(ValueError, match="integer N >= 1"):
+        _ZERO_STEP_RUNS[name]()
 
 
 def test_child_streams_differ():

@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -115,3 +116,28 @@ def test_every_bench_tracer_counter_binds_and_moves():
     # each counter reads its function's arguments by name when the tracer is
     # installed; a renamed or dropped parameter fails here, not in a traced run
     assert _fresh_python(f"BENCH = {BENCH!r}" + _COUNTED_CALLS) == "[]\n"
+
+
+# the one time axis: levy builds the step grid np.linspace(0, T, n + 1) of
+# [0, T] (PathGrid.times), draws Brownian increments on it and sums
+# increments into paths; every other module takes these from levy
+STEP_GRID = re.compile(r"linspace\(\s*0(?:\.0)?\s*,[^,]+,[^,]+\+\s*1\s*\)")
+BROWNIAN_DRAW = re.compile(r"normal\(\s*0(?:\.0)?\s*,\s*(?:np\.)?sqrt\(")
+# the cumulative sums that are quadratures, not paths: grid's chain bound
+# over time offsets and kernel's CDF
+QUADRATURE_CUMSUMS = {"grid.py": 1, "kernel.py": 1}
+
+
+def test_only_levy_builds_step_grids_draws_w_or_sums_paths():
+    package = os.path.dirname(fracbspde.__file__)
+    sources = {name: open(os.path.join(package, name)).read()
+               for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    for name, text in sources.items():
+        if name == "levy.py":
+            continue
+        assert STEP_GRID.findall(text) == [], name
+        assert BROWNIAN_DRAW.findall(text) == [], name
+        assert text.count("cumsum(") == QUADRATURE_CUMSUMS.get(name, 0), name
+    # the patterns still see levy's own copies
+    levy = sources["levy.py"]
+    assert STEP_GRID.search(levy) and BROWNIAN_DRAW.search(levy) and "cumsum(" in levy

@@ -232,6 +232,13 @@ def test_problem_validation():
         make_problem(p0=np.full(GRID.n, np.nan))
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, float("nan")])
+def test_problem_rejects_a_horizon_not_above_zero(T):
+    # T = -1 built, then solve_zakai failed with "OrderViolation: need s < t"
+    with pytest.raises(ValueError, match="horizon T must be > 0"):
+        make_problem(T=T)
+
+
 def test_cost_trivial_mass():
     prob = make_problem(g=np.ones(GRID.n))
     y_inc = np.zeros((3, 16))
