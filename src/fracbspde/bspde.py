@@ -856,12 +856,14 @@ def verify_holder_estimate(
     RHS = ||g||_{alpha/2+beta, L2(Omega)} + ||f||_{beta, L2}.
     Deterministic data solve through the Fourier route (v == 0); terminal
     data affine in W_T solve through the closed form.  The norms read every
-    fourth time step.
+    fourth time step, T included, so n_steps must be a multiple of 4.
     """
     if not 2.0 - data.alpha < beta < 1.0:
         raise InvalidExponent(f"beta={beta} outside (2 - alpha, 1)")
     g = data.grid
     out_times = PathGrid(data.T, n_steps).times[::4]
+    if n_steps % 4:
+        raise ValueError(f"n_steps must be a multiple of 4, the norms' time stride, got {n_steps}")
     dt_out = out_times[1] - out_times[0]
 
     random_g = isinstance(data.g, RandomFieldSpec)

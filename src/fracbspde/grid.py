@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,8 +57,12 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError(f"x_min and x_max must be finite, got [{self.x_min}, {self.x_max}]")
         if self.x_max <= self.x_min:
             raise ValueError(f"empty interval [{self.x_min}, {self.x_max}]")
+        if not isinstance(self.n, Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 2 or self.n & (self.n - 1):
             raise ValueError(f"n must be a power of two, got {self.n}")
 
@@ -118,12 +123,18 @@ class NormReport:
     beta: float
 
 
-def apply_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+def apply_multiplier(values: np.ndarray, mult: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real part of the Fourier multiplier mult applied along the last axis.
 
-    mult is in FFT ordering and broadcasts against the transformed values.
+    mult is in FFT ordering and broadcasts to the values' shape.  The round
+    trip runs in one complex array of that shape: out when given (the result
+    is then a view of out, valid until out is reused), else a new one.  The
+    spectrum is multiplied in place with mult as the first operand, which
+    gives the bits of mult * spectrum.
     """
-    return np.real(np.fft.ifft(mult * np.fft.fft(values, axis=-1), axis=-1))
+    spec = np.fft.fft(values, axis=-1, out=out)
+    np.multiply(mult, spec, out=spec)
+    return np.fft.ifft(spec, axis=-1, out=spec).real
 
 
 @lru_cache(maxsize=32)

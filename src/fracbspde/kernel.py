@@ -195,7 +195,7 @@ def deriv_G(x, alpha: float, k: int):
 def frac_lap_G(x, alpha: float, gamma: float):
     """(-Delta)^(gamma/2) G(x) = (1/pi) Re int_0^inf xi^gamma e^{-i xi x - xi^alpha} d xi."""
     check_alpha(alpha)
-    if gamma <= 0:
+    if not gamma > 0:
         raise PositivityViolation(f"gamma must be > 0, got {gamma}")
     return _kernel_transform(x, alpha, float(gamma))
 
@@ -223,7 +223,7 @@ class CoefficientA:
 
     @classmethod
     def constant(cls, c: float) -> "CoefficientA":
-        if c <= 0:
+        if not c > 0:
             raise PositivityViolation(f"constant coefficient must be > 0, got {c}")
         return cls(lambda t: np.full_like(np.asarray(t, dtype=float), c), c, c)
 
@@ -233,8 +233,8 @@ class CoefficientA:
         ts = np.linspace(0.0, t_max, 2049)
         vals = np.asarray(func(ts), dtype=float)
         lo, hi = float(vals.min()), float(vals.max())
-        if lo <= 0:
-            raise PositivityViolation(f"coefficient dips to {lo} <= 0 on [0, {t_max}]")
+        if not lo > 0:  # min propagates a NaN sample
+            raise PositivityViolation(f"coefficient func dips to {lo}, not > 0, on [0, {t_max}]")
         return cls(func, lo, hi)
 
 
@@ -298,7 +298,7 @@ def deriv_G_ts(x, params: KernelParams, k: int):
 def apply_semigroup_A(phi: GridFunction, A: float, alpha: float) -> GridFunction:
     """Convolution with G_A, computed as the multiplier exp(-A |xi_k|^alpha)."""
     check_alpha(alpha)
-    if A < 0:
+    if not A >= 0:
         raise PositivityViolation(f"A must be >= 0, got {A}")
     mult = np.exp(-A * frac_lap_multiplier(phi.grid, alpha))
     return GridFunction(phi.grid, apply_multiplier(phi.values, mult))
@@ -358,7 +358,7 @@ def _cdf_table(alpha: float):
 def kernel_cdf(alpha: float, A: float = 1.0):
     """CDF of the density G_A as a vectorized callable (for KS tests), tabulated on [0, 200]."""
     check_alpha(alpha)
-    if A <= 0:
+    if not A > 0:
         raise PositivityViolation(f"A must be > 0, got {A}")
     xs, cum = _cdf_table(alpha)
     x_max = xs[-1]

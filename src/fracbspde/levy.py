@@ -88,7 +88,7 @@ def sample_stable(alpha: float, dt: float, rng: np.random.Generator, size=None):
     variance 2t, not the probabilist's t).
     """
     check_alpha(alpha)
-    if dt <= 0:
+    if not dt > 0:  # a NaN dt fails
         raise OutOfRange(f"dt must be > 0, got {dt}")
     if alpha == 2.0:
         return rng.normal(0.0, np.sqrt(2.0 * dt), size)

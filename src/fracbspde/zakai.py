@@ -198,7 +198,14 @@ class _ZakaiSteps:
     """The split filter step on one observation ensemble y_inc (paths,
     n_steps), with the factors that do not depend on the control (the
     diffusion multiplier and the observation field of each step) computed
-    once."""
+    once.
+
+    The step's transforms, products and observation factor go into work
+    arrays made once per ensemble, one complex and three real (paths, n), so
+    a step allocates only the state it returns, which is never a view of
+    them.  Where k(t_i, ., v) is identically 0 the Heun transport pair
+    adds only signed zeros and is skipped; a NaN k still takes it and
+    reaches the blow-up guard."""
 
     def __init__(self, problem: ControlProblem, y_inc: np.ndarray, n_steps: int):
         n_paths = y_inc.shape[0]
@@ -219,23 +226,29 @@ class _ZakaiSteps:
         self.h = [np.asarray(problem.h(t), dtype=float)[None, :] for t in self.times[:-1]]
         self.h_drift = [0.5 * h**2 * self.dt for h in self.h]
         self.p0 = np.broadcast_to(problem.p0, (n_paths, g.n)).copy()
+        self.spec = np.empty((n_paths, g.n), dtype=complex)
+        self.work = tuple(np.empty((n_paths, g.n)) for _ in range(3))
         # the blow-up guard: a step may not leave |p| above 1e6 (max |p0| + 1)
         self.guard_level = 1e6 * (float(np.abs(problem.p0).max()) + 1.0)
 
     def step(self, i: int, p: np.ndarray, v: float) -> np.ndarray:
         """p(t_{i+1}) from p(t_i) under the control value v."""
-        dt = self.dt
-        p = apply_multiplier(p, self.diffusion[i])
+        dt, spec, (p_mid, w1, w2) = self.dt, self.spec, self.work
+        np.copyto(p_mid, apply_multiplier(p, self.diffusion[i], out=spec))
         # conservative transport, Heun stage pair on -D(k p)
         k_field = np.asarray(self.problem.k(self.times[i], v), dtype=float)
-        f1 = -apply_multiplier(k_field * p, self.flux_mult)
-        p_stage = p + dt * f1
-        f2 = -apply_multiplier(k_field * p_stage, self.flux_mult)
-        p = p + 0.5 * dt * (f1 + f2)
+        if k_field.any():
+            np.multiply(k_field, p_mid, out=w1)
+            f1 = np.negative(apply_multiplier(w1, self.flux_mult, out=spec), out=w1)
+            p_stage = np.add(p_mid, np.multiply(dt, f1, out=w2), out=w2)
+            np.multiply(k_field, p_stage, out=w2)
+            f2 = np.negative(apply_multiplier(w2, self.flux_mult, out=spec), out=w2)
+            np.add(p_mid, np.multiply(0.5 * dt, np.add(f1, f2, out=w1), out=w1), out=p_mid)
         # exact multiplicative observation update
-        p = p * np.exp(self.h[i] * self.y_inc[:, i][:, None] - self.h_drift[i])
+        obs = np.multiply(self.h[i], self.y_inc[:, i][:, None], out=w1)
+        p = p_mid * np.exp(np.subtract(obs, self.h_drift[i], out=w1), out=w1)
         # one pass: NaN propagates through max and fails <=, and inf exceeds the guard
-        if not float(np.abs(p).max()) <= self.guard_level:
+        if not float(np.abs(p, out=w1).max()) <= self.guard_level:
             raise BlowUp(
                 f"density norm exceeded the blow-up guard at step {i + 1}/{self.n_steps}; "
                 "reduce the step size"
@@ -344,6 +357,7 @@ def _policy_costs(
             walk(picks + (c,), q, r)
 
     walk((), steps.p0, np.zeros(n_paths))
+    del walk  # walk refers to itself: the cycle would keep steps' work arrays past the return
     return out
 
 

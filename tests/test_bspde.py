@@ -900,6 +900,15 @@ def test_holder_ratio_zero_data_undefined():
     assert rep.ratio is None
 
 
+@pytest.mark.parametrize("n_steps", [3, 6, 10])
+def test_holder_ratio_needs_a_step_count_its_norm_stride_holds(n_steps):
+    # the norms read every fourth step: 3 steps left one time (a bare
+    # IndexError), 6 steps read t = 0 and 2/3 and left T out without a word
+    data = make_data(g=np.sin(XI1 * GRID.x))
+    with pytest.raises(ValueError, match=f"n_steps must be a multiple of 4, .* got {n_steps}"):
+        verify_holder_estimate(data, beta=0.6, n_steps=n_steps)
+
+
 def test_holder_ratio_linear_gaussian_finite():
     prof = np.exp(-GRID.x**2 / 4)
     data = make_data(g=affine_terminal(prof, 0.5, 1.0, 1.0))

@@ -36,6 +36,13 @@ def grid():
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid1D(0.0, 1.0, 100)  # not a power of two
+    for bounds in [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan)]:
+        with pytest.raises(ValueError, match="x_min and x_max must be finite"):
+            Grid1D(*bounds, 8)
+    for n in (8.0, 2.5, "8"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Grid1D(0.0, 1.0, n)
+    assert Grid1D(0.0, 1.0, np.int64(8)).n == 8
     with pytest.raises(ValueError):
         Grid1D(1.0, 1.0, 8)
     g = Grid1D(0.0, 1.0, 8)
@@ -72,6 +79,16 @@ def test_apply_multiplier_matches_inline_round_trip(grid, shape):
     deriv[grid.n // 2] = 0.0
     inline = np.real(np.fft.ifft(deriv * np.fft.fft(vals, axis=-1), axis=-1))
     assert _same_bits(apply_multiplier(vals, derivative_multiplier(grid, 1)), inline)
+
+
+@pytest.mark.parametrize("shape", [(256,), (5, 256), (3, 4, 256)])
+def test_apply_multiplier_into_out_has_the_same_bits(grid, shape):
+    vals = np.random.default_rng(42).standard_normal(shape)
+    work = np.full(shape, np.nan, dtype=complex)  # stale contents must not leak in
+    for mult in (frac_lap_multiplier(grid, 1.5), derivative_multiplier(grid, 1)):
+        result = apply_multiplier(vals, mult, out=work)
+        assert np.shares_memory(result, work)
+        assert _same_bits(result, apply_multiplier(vals, mult))
 
 
 def test_apply_multiplier_matches_dealiased_flux_form(grid):

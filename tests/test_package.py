@@ -5,9 +5,14 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fracbspde
+import fracbspde.errors
+import fracbspde.grid
+import fracbspde.kernel
+import fracbspde.levy
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fracbspde.__path__))
 
@@ -141,3 +146,25 @@ def test_only_levy_builds_step_grids_draws_w_or_sums_paths():
     # the patterns still see levy's own copies
     levy = sources["levy.py"]
     assert STEP_GRID.search(levy) and BROWNIAN_DRAW.search(levy) and "cumsum(" in levy
+
+
+_NAN = float("nan")
+_NAN_CALLS = {
+    "levy.sample_stable dt": (lambda: fracbspde.levy.sample_stable(1.5, _NAN, np.random.default_rng(0), 3), "dt"),
+    "kernel.frac_lap_G gamma": (lambda: fracbspde.kernel.frac_lap_G(np.zeros(3), 1.5, _NAN), "gamma"),
+    "kernel.kernel_cdf A": (lambda: fracbspde.kernel.kernel_cdf(1.5, _NAN), "A"),
+    "kernel.apply_semigroup_A A": (lambda: fracbspde.kernel.apply_semigroup_A(
+        fracbspde.grid.GridFunction(fracbspde.grid.Grid1D(0.0, 1.0, 8), np.zeros(8)), _NAN, 1.5), "A"),
+    "CoefficientA.constant c": (lambda: fracbspde.kernel.CoefficientA.constant(_NAN), "constant coefficient"),
+    "CoefficientA.from_callable func": (lambda: fracbspde.kernel.CoefficientA.from_callable(
+        lambda t: np.where(t > 0.5, _NAN, 1.0), 1.0), "coefficient func"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_CALLS))
+def test_a_nan_parameter_is_an_error_that_names_it(name):
+    # a guard written `x <= 0` is False for NaN and let it through to a NaN
+    # result or to a later error about something else
+    call, param = _NAN_CALLS[name]
+    with pytest.raises(fracbspde.errors.FracBspdeError, match=rf"^{param} .*nan"):
+        call()

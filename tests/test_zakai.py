@@ -221,6 +221,96 @@ def test_zakai_step_guard_trips_on_nan_inf_and_values_over_it(bad):
     assert np.all(np.isfinite(steps.step(0, steps.p0, 0.0)))
 
 
+def split_step(steps, i, p, v):
+    """The filter step with a new array for every transform and product, as
+    written before the step's work arrays: the bit-level reference."""
+    dt = steps.dt
+    p = np.real(np.fft.ifft(steps.diffusion[i] * np.fft.fft(p, axis=-1), axis=-1))
+    k_field = np.asarray(steps.problem.k(steps.times[i], v), dtype=float)
+    flux = lambda q: np.real(np.fft.ifft(steps.flux_mult * np.fft.fft(k_field * q, axis=-1), axis=-1))
+    f1 = -flux(p)
+    p_stage = p + dt * f1
+    f2 = -flux(p_stage)
+    p = p + 0.5 * dt * (f1 + f2)
+    p = p * np.exp(steps.h[i] * steps.y_inc[:, i][:, None] - steps.h_drift[i])
+    if not float(np.abs(p).max()) <= steps.guard_level:
+        raise BlowUp(f"density norm exceeded the blow-up guard at step {i + 1}/{steps.n_steps}; "
+                     "reduce the step size")
+    return p
+
+
+def observed_problem(k):
+    return make_problem(k=k, h=lambda t: 0.4 * np.tanh(GRID.x / 4) + t, U=(-0.5, 0.0, 0.5))
+
+
+STEP_FIELDS = {
+    "k = 0.5": lambda t, v: np.full(GRID.n, 0.5),
+    "k = v": lambda t, v: np.full(GRID.n, v),
+    "k = 0": lambda t, v: np.zeros(GRID.n),
+    "k = -0.0": lambda t, v: np.full(GRID.n, -0.0),
+    "k varies in x": lambda t, v: 0.5 * np.sin(XI1 * GRID.x) + v * t,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_FIELDS))
+def test_filter_step_has_the_bits_of_the_split_step(name):
+    n_steps = 12
+    y_inc = np.random.default_rng(3).normal(0.0, np.sqrt(0.5 / n_steps), (5, n_steps))
+    steps = zakai._ZakaiSteps(observed_problem(STEP_FIELDS[name]), y_inc, n_steps)
+    p = ref = steps.p0
+    for i in range(n_steps):
+        v = (-0.5, 0.0, 0.5)[i % 3]
+        p, ref = steps.step(i, p, v), split_step(steps, i, ref, v)
+        assert p.tobytes() == ref.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_filter_step_with_a_nan_k_blows_up_where_the_split_step_does():
+    # k.any() holds for NaN, so a NaN k takes the transport and meets the guard
+    def k(t, v):
+        return np.full(GRID.n, np.nan if t >= 0.2 else 0.0)
+
+    n_steps = 10
+    steps = zakai._ZakaiSteps(observed_problem(k), np.zeros((3, n_steps)), n_steps)
+    raised = []
+    for step in (steps.step, lambda i, p, v: split_step(steps, i, p, v)):
+        p = steps.p0
+        with pytest.raises(BlowUp) as exc:
+            for i in range(n_steps):
+                p = step(i, p, 0.0)
+        raised.append(str(exc.value))
+    assert raised[0] == raised[1] == (
+        "density norm exceeded the blow-up guard at step 5/10; reduce the step size"
+    )
+
+
+def test_filter_step_returns_states_that_share_no_memory():
+    # the prefix tree keeps a parent state while its children step from it
+    steps = zakai._ZakaiSteps(observed_problem(STEP_FIELDS["k = v"]), np.ones((4, 6)) * 0.1, 6)
+    parent = steps.step(0, steps.p0, 0.5)
+    kept = parent.copy()
+    children = [steps.step(1, parent, v) for v in (-0.5, 0.0, 0.5)]
+    grandchild = steps.step(2, children[0], 0.5)
+    assert parent.tobytes() == kept.tobytes()
+    states = [steps.p0, parent, *children, grandchild]
+    for a, b in itertools.combinations(states, 2):
+        assert not np.shares_memory(a, b)
+    for state, work in itertools.product(states, [steps.spec, *steps.work]):
+        assert not np.shares_memory(state, work)
+    assert children[0].tobytes() == split_step(steps, 1, kept, -0.5).tobytes()
+
+
+@pytest.mark.parametrize("name, calls", [("k = 0", 2), ("k = -0.0", 2), ("k = 0.5", 6), ("k varies in x", 6)])
+def test_filter_step_takes_two_transforms_at_zero_velocity_and_six_otherwise(monkeypatch, name, calls):
+    steps = zakai._ZakaiSteps(observed_problem(STEP_FIELDS[name]), np.zeros((2, 4)), 4)
+    counted = Counter()
+    for fn in ("fft", "ifft", "rfft", "irfft"):
+        original = getattr(np.fft, fn)
+        monkeypatch.setattr(np.fft, fn, lambda *a, _f=original, _n=fn, **kw: counted.update([_n]) or _f(*a, **kw))
+    steps.step(1, steps.p0, 0.5)
+    assert counted == Counter({"fft": calls // 2, "ifft": calls // 2})
+
+
 def test_problem_validation():
     with pytest.raises(PositivityViolation):
         make_problem(p0=np.ones(GRID.n))  # mass is not 1
